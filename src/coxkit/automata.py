@@ -43,8 +43,11 @@ class Dfa:
         return "{%s}" % ",".join(self.poset.label(j) for j in key)
 
 
-def build_automaton(system, m, kind="red"):
-    """Breadth-first construction over subsets of the m-small roots."""
+def build_automaton(system, m, kind="red", limit=None):
+    """Breadth-first construction over subsets of the m-small roots.
+
+    Raises LimitExceeded once more than `limit` states are found.
+    """
     if kind not in ("red", "pref"):
         raise ValueError("kind must be 'red' or 'pref'")
     poset = m_small_roots(system, m)
@@ -82,6 +85,8 @@ def build_automaton(system, m, kind="red"):
             dst = ids.get(nkey)
             if dst is None:
                 dst = len(states)
+                if limit is not None and dst >= limit:
+                    raise LimitExceeded("automaton exceeded %d states" % limit)
                 ids[nkey] = dst
                 states.append(nkey)
             transitions.append((i, s, dst))
@@ -106,19 +111,25 @@ def accepts(dfa, word):
 
 
 def count_by_length(dfa, max_len):
-    """Accepted-word counts for lengths 0..max_len."""
-    n = len(dfa.states)
-    vec = [0] * n
-    vec[dfa.initial] = 1
-    out = [sum(vec[i] for i in dfa.finals)]
-    for _ in range(max_len):
-        nxt = [0] * n
-        for src, _, dst in dfa.transitions:
-            if vec[src]:
-                nxt[dst] += vec[src]
-        vec = nxt
-        out.append(sum(vec[i] for i in dfa.finals))
-    return out
+    """Accepted-word counts for lengths 0..max_len.
+
+    Walks the frontier of states reached by words of each length, with
+    the number of words reaching each; once it empties, no longer word
+    is accepted.
+    """
+    succ = [[] for _ in dfa.states]
+    for src, _, dst in dfa.transitions:
+        succ[src].append(dst)
+    frontier = {dfa.initial: 1}
+    out = []
+    while frontier and len(out) <= max_len:
+        out.append(sum(c for i, c in frontier.items() if i in dfa.finals))
+        nxt = {}
+        for i, c in frontier.items():
+            for j in succ[i]:
+                nxt[j] = nxt.get(j, 0) + c
+        frontier = nxt
+    return out + [0] * (max_len + 1 - len(out))
 
 
 def low_elements(system, m, limit=None):

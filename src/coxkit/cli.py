@@ -94,7 +94,7 @@ def cmd_roots(args, out):
 
 def cmd_automaton(args, out):
     system = _system(args.spec)
-    dfa = build_automaton(system, args.m, args.kind)
+    dfa = build_automaton(system, args.m, args.kind, limit=args.max_elements)
     if args.dot:
         with open(args.dot, "w") as fh:
             fh.write(dfa_to_dot(dfa))
@@ -233,7 +233,7 @@ def cmd_affine(args, out):
 def _add_common(sub):
     sub.add_argument("--json", action="store_true", help="JSON output")
     sub.add_argument("--max-elements", type=int, default=200000,
-                     help="cap on enumerated group elements")
+                     help="cap on enumerated group elements and automaton states")
     sub.add_argument("--max-roots", type=int, default=100000,
                      help="cap on enumerated roots")
 

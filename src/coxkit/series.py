@@ -2,12 +2,15 @@
 
 Polynomials over big rationals, lowest degree first, and rational
 series num/den kept in a canonical reduced form with den(0) = 1.
-Counting series come out of automata by fraction-free determinant
-evaluation, so every coefficient is exact.
+Counting series come out of automata as the shortest linear recurrence
+of their exact word counts, so every coefficient is exact.
 """
 
 import math
 from fractions import Fraction
+
+from .automata import count_by_length
+from .field import _poly_divmod as _coeff_divmod
 
 
 def _strip(coeffs):
@@ -105,18 +108,7 @@ def is_palindromic(p):
 
 
 def _poly_divmod(a, b):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = list(a.coeffs)
-    q = [Fraction(0)] * max(len(r) - len(b.coeffs) + 1, 0)
-    db = b.degree
-    lead = b.coeffs[-1]
-    for i in range(len(r) - 1, db - 1, -1):
-        if r[i]:
-            f = r[i] / lead
-            q[i - db] = f
-            for j, c in enumerate(b.coeffs):
-                r[i - db + j] -= f * c
+    q, r = _coeff_divmod(a.coeffs, b.coeffs)
     return Polynomial(q), Polynomial(r)
 
 
@@ -127,8 +119,45 @@ def poly_divexact(a, b):
     return q
 
 
+_PRIME = 2 ** 61 - 1
+
+
+def _mod_prime(p):
+    """Coefficients of p modulo _PRIME, or None when the prime divides a
+    denominator or the leading coefficient."""
+    out = []
+    for c in p.coeffs:
+        if c.denominator % _PRIME == 0:
+            return None
+        out.append(c.numerator * pow(c.denominator, -1, _PRIME) % _PRIME)
+    return out if out and out[-1] else None
+
+
+def _coprime_mod_prime(a, b):
+    """True only when a and b are coprime over Q.
+
+    Reduction modulo a prime that keeps both degrees maps the rational
+    gcd onto a divisor of the modular one, so a constant modular gcd
+    proves coprimality; False proves nothing.
+    """
+    a, b = _mod_prime(a), _mod_prime(b)
+    if a is None or b is None:
+        return False
+    while b:
+        inv = pow(b[-1], -1, _PRIME)
+        for i in range(len(a) - len(b), -1, -1):
+            f = a[i + len(b) - 1] * inv % _PRIME
+            if f:
+                for j, c in enumerate(b):
+                    a[i + j] = (a[i + j] - f * c) % _PRIME
+        a, b = b, _strip(a[: len(b) - 1])
+    return len(a) == 1
+
+
 def poly_gcd(a, b):
     """Monic-free gcd: primitive with positive leading coefficient."""
+    if _coprime_mod_prime(a, b):
+        return Polynomial([1])
     while b:
         a, b = b, _poly_divmod(a, b)[1]
     if not a:
@@ -233,161 +262,55 @@ def pal_series(pref):
     return pref.substitute_power(2).times_power(-1)
 
 
-def _trans_matrix(dfa):
-    n = len(dfa.states)
-    mat = [[0] * n for _ in range(n)]
-    for src, _, dst in dfa.transitions:
-        mat[src][dst] += 1
-    return mat
+def berlekamp_massey(seq):
+    """Shortest linear recurrence of an exact sequence.
 
-
-def _counts(dfa, count):
-    finals = dfa.finals
-    n = len(dfa.states)
-    vec = [0] * n
-    vec[dfa.initial] = 1
-    outgoing = {}
-    for src, _, dst in dfa.transitions:
-        outgoing.setdefault(src, []).append(dst)
-    out = [sum(vec[i] for i in finals)]
-    for _ in range(count - 1):
-        nxt = [0] * n
-        for i, c in enumerate(vec):
-            if c:
-                for j in outgoing.get(i, ()):
-                    nxt[j] += c
-        vec = nxt
-        out.append(sum(vec[i] for i in finals))
-    return out
-
-
-def _pimul(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _pisub(a, b):
-    out = list(a) + [0] * (len(b) - len(a))
-    for i, y in enumerate(b):
-        out[i] -= y
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _pidiv(a, b):
-    # exact division of integer polynomial lists
-    r = list(a)
-    db = len(b) - 1
-    lead = b[-1]
-    q = [0] * max(len(r) - db, 0)
-    for i in range(len(r) - 1, db - 1, -1):
-        if r[i]:
-            f, rem = divmod(r[i], lead)
-            if rem:
-                raise ArithmeticError("inexact division in elimination")
-            q[i - db] = f
-            for j, c in enumerate(b):
-                r[i - db + j] -= f * c
-    if any(r):
-        raise ArithmeticError("inexact division in elimination")
-    while q and q[-1] == 0:
-        q.pop()
-    return q
-
-
-def _int_poly_det(mat):
-    """Fraction-free (Bareiss) determinant of a matrix of integer
-    polynomial lists."""
-    n = len(mat)
-    if n == 0:
-        return [1]
-    m = [[list(e) for e in row] for row in mat]
-    prev = [1]
-    sign = 1
-    for k in range(n - 1):
-        if not m[k][k]:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return []
-        piv = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = _pisub(_pimul(piv, m[i][j]), _pimul(m[i][k], m[k][j]))
-                m[i][j] = _pidiv(num, prev) if num else []
-            m[i][k] = []
-        prev = piv
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else [-c for c in det]
+    Returns (den, L): den is the connection polynomial as a coefficient
+    list with den[0] = 1 and degree at most L, such that
+    sum_j den[j] * seq[k - j] = 0 for every L <= k < len(seq).  When
+    the whole sequence has linear complexity L and len(seq) >= 2L, the
+    recurrence is the unique minimal one (Massey 1969).
+    """
+    den, prev = [Fraction(1)], [Fraction(1)]
+    length, gap, prev_d = 0, 1, Fraction(1)
+    for k, s in enumerate(seq):
+        d = s
+        for j in range(1, min(length, len(den) - 1) + 1):
+            d += den[j] * seq[k - j]
+        if not d:
+            gap += 1
+            continue
+        f = d / prev_d
+        new = den + [Fraction(0)] * max(0, len(prev) + gap - len(den))
+        for j, c in enumerate(prev):
+            new[j + gap] -= f * c
+        if 2 * length <= k:
+            prev, prev_d = den, d
+            length, gap = k + 1 - length, 1
+        else:
+            gap += 1
+        den = new
+    return _strip(den), length
 
 
 def dfa_series(dfa):
     """Generating series of the words the automaton accepts.
 
-    Acyclic automata give a plain polynomial.  Otherwise the series is
-    a ratio of two fraction-free determinants of I - qM, bordered to
-    pick out the initial row and the final columns.  The expansion is
+    The counts of an n-state automaton obey a linear recurrence of
+    order at most n, so Berlekamp-Massey on the first 2n + 1 exact
+    counts yields the reduced denominator; the numerator is the count
+    series times it, cut below the recurrence length.  The expansion is
     checked against a direct count before returning.
     """
     n = len(dfa.states)
-    mat = _trans_matrix(dfa)
-    order = _topological(mat)
-    if order is not None:
-        counts = _counts(dfa, n + 1)
-        series = RationalSeries(Polynomial(counts))
-    else:
-        a = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                const = 1 if i == j else 0
-                if mat[i][j]:
-                    row.append([const, -mat[i][j]])
-                elif const:
-                    row.append([1])
-                else:
-                    row.append([])
-            a.append(row)
-        for i in range(n):
-            a[i].append([-1] if i in dfa.finals else [])
-        a.append([([1] if j == dfa.initial else []) for j in range(n)] + [[]])
-        det_top = _int_poly_det(a)
-        det_a = _int_poly_det([row[:n] for row in a[:n]])
-        series = RationalSeries(Polynomial(det_top), Polynomial(det_a))
     check = 2 * n + 5
-    if series.coefficients(check) != [Fraction(c) for c in _counts(dfa, check)]:
+    counts = count_by_length(dfa, check - 1)
+    den, length = berlekamp_massey(counts[: 2 * n + 1])
+    num = [
+        sum(den[j] * counts[k - j] for j in range(min(k, len(den) - 1) + 1))
+        for k in range(length)
+    ]
+    series = RationalSeries(Polynomial(num), Polynomial(den))
+    if series.coefficients(check) != [Fraction(c) for c in counts]:
         raise ArithmeticError("series expansion disagrees with direct count")
     return series
-
-
-def _topological(mat):
-    """Topological order of the nonzero-entry digraph, or None."""
-    n = len(mat)
-    indeg = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if mat[i][j]:
-                indeg[j] += 1
-    ready = [i for i in range(n) if indeg[i] == 0]
-    out = []
-    while ready:
-        i = ready.pop()
-        out.append(i)
-        for j in range(n):
-            if mat[i][j]:
-                indeg[j] -= 1
-                if indeg[j] == 0:
-                    ready.append(j)
-    return out if len(out) == n else None

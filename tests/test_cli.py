@@ -130,6 +130,13 @@ def test_limit_exit_code(capsys):
     assert code == 3
 
 
+def test_automaton_state_cap_exit_code(capsys):
+    code, out, err = run(capsys, "automaton", "~E8", "--max-elements", "1000")
+    assert code == 3
+    assert out == ""
+    assert "1000 states" in err
+
+
 def test_mem_cap_must_be_integer(capsys, monkeypatch):
     monkeypatch.setenv("COXKIT_MAX_MEM", "lots")
     code, _, err = run(capsys, "roots", "A2", "--max-depth", "2")

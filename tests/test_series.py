@@ -1,13 +1,17 @@
 """Exact polynomials and rational generating series."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
 import coxkit as ck
 from coxkit.automata import build_automaton, count_by_length
+from coxkit.core import coxeter_matrix_from_descriptor
 from coxkit.series import (
-    Polynomial, RationalSeries, dfa_series, is_palindromic, pal_series,
+    Polynomial, RationalSeries, _coprime_mod_prime, _mod_prime,
+    berlekamp_massey, dfa_series, is_palindromic, pal_series,
     poly_divexact, poly_gcd, poly_lcm,
 )
 
@@ -59,6 +63,70 @@ def test_gcd_and_lcm():
     assert l.degree == 4
 
 
+def _euclid_gcd(a, b):
+    """Plain Fraction Euclid, normalised to primitive with positive lead."""
+    a, b = list(a.coeffs), list(b.coeffs)
+    while b:
+        r = list(a)
+        for i in range(len(r) - len(b), -1, -1):
+            f = r[i + len(b) - 1] / b[-1]
+            for j, c in enumerate(b):
+                r[i + j] -= f * c
+        while r and r[-1] == 0:
+            r.pop()
+        a, b = b, r
+    if not a:
+        return Polynomial()
+    den = math.lcm(*(c.denominator for c in a))
+    ints = [int(c * den) for c in a]
+    g = math.gcd(*ints)
+    sign = 1 if ints[-1] > 0 else -1
+    return Polynomial([Fraction(c, sign * g) for c in ints])
+
+
+def _random_poly(rng, degree):
+    coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(degree)]
+    return Polynomial(coeffs + [Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 3))])
+
+
+def test_gcd_matches_plain_euclid_on_random_pairs():
+    rng = random.Random(20260218)
+    for _ in range(60):
+        a = _random_poly(rng, rng.randint(0, 7))
+        b = _random_poly(rng, rng.randint(0, 7))
+        assert poly_gcd(a, b) == _euclid_gcd(a, b)
+        f = _random_poly(rng, rng.randint(1, 3))
+        af, bf = a * f, b * f
+        assert not _coprime_mod_prime(af, bf)
+        g = poly_gcd(af, bf)
+        assert g == _euclid_gcd(af, bf)
+        assert g.degree >= f.degree
+        assert not _euclid_gcd(poly_divexact(af, g), poly_divexact(bf, g)).degree
+
+
+def test_gcd_when_the_prime_divides_a_coefficient():
+    p = 2 ** 61 - 1
+    assert _mod_prime(P(1, p)) is None
+    assert _mod_prime(P(Fraction(1, p), 1)) is None
+    a = P(-1, p)
+    b = a * P(1, 1)
+    assert not _coprime_mod_prime(a, b)
+    assert poly_gcd(a, b) == a
+    assert poly_gcd(P(Fraction(1, p), 1), P(0, 1)) == P(1)
+
+
+def test_berlekamp_massey_recurrences():
+    assert berlekamp_massey([3 * 2 ** k for k in range(8)]) == ([1, -2], 1)
+    fib = [0, 1]
+    while len(fib) < 12:
+        fib.append(fib[-1] + fib[-2])
+    assert berlekamp_massey(fib) == ([1, -1, -1], 2)
+    assert berlekamp_massey([1, 2, 2, 2] + [0] * 8) == ([1], 4)
+    assert berlekamp_massey([0, 0, 5] + [0] * 6) == ([1], 3)
+    assert berlekamp_massey([0] * 7) == ([1], 0)
+    assert berlekamp_massey([]) == ([1], 0)
+
+
 def test_divexact_rejects_remainders():
     with pytest.raises(ValueError):
         poly_divexact(P(1, 1, 1), P(1, 1))
@@ -106,11 +174,12 @@ def test_dfa_series_finite_group_is_polynomial():
 
 
 def test_dfa_series_matches_counts():
-    for name, kind in (("~A2", "red"), ("~A2", "pref"), ("~C2", "red")):
+    for name, kind in (("~A2", "red"), ("~A2", "pref"), ("~C2", "red"),
+                       ("~B3", "pref"), ("~C3", "red")):
         sysm = ck.CoxeterSystem(matrix=ck.preset(name))
         dfa = build_automaton(sysm, 0, kind)
         gf = dfa_series(dfa)
-        n = 14
+        n = 3 * len(dfa.states)
         assert gf.coefficients(n + 1) == [
             Fraction(c) for c in count_by_length(dfa, n)]
 
@@ -121,3 +190,26 @@ def test_pal_series_shifts_into_odd_degrees():
     pref = dfa_series(build_automaton(u2, 0, "pref"))
     pal = pal_series(pref)
     assert pal.coefficients(8) == [0, 2, 0, 2, 0, 2, 0, 2]
+
+
+# Computed by the fraction-free determinant of I - qM that dfa_series
+# used before it read the series off the shortest linear recurrence.
+GOLDEN_SERIES = [
+    ("~A3", "red", 0,
+     [1, 2, 2, -3, -8, -6, 8, -28, -32, -40, 16, 160, 96],
+     [1, -2, -2, -3, 12, 22, -16, -36, -48, 56, 80, -32, -32]),
+    ("~G2", "pref", 1,
+     [0, 3, 4, 6, 0, 1, -6, -11, -13, -2, -4, -6],
+     [1, 0, 0, -2, 0, -2, -1, 0, 4, 0, 0, 2]),
+    ("[[1,6,6],[6,1,6],[6,6,1]]", "red", 1,
+     [1, 2, 2, 2, 2, 1, 2],
+     [1, -1, -1, -1, -1, -2, 2]),
+]
+
+
+@pytest.mark.parametrize("spec, kind, m, num, den", GOLDEN_SERIES)
+def test_dfa_series_golden(spec, kind, m, num, den):
+    sysm = ck.CoxeterSystem(matrix=coxeter_matrix_from_descriptor(spec))
+    gf = dfa_series(build_automaton(sysm, m, kind))
+    assert gf.num.coeffs == tuple(num)
+    assert gf.den.coeffs == tuple(den)
