@@ -104,9 +104,7 @@ class AffineDatum:
     def rep_coords(self, rep):
         """Inverse of root_rep, in the affine simple basis."""
         k, vec = rep
-        return tuple(
-            Fraction(a + k * w) for a, w in zip(vec, self.omega)
-        ) + (Fraction(k),)
+        return tuple(a + k * w for a, w in zip(vec, self.omega)) + (k,)
 
 
 def affine_datum(name):
@@ -131,7 +129,7 @@ def affine_datum(name):
         for j in range(n):
             ext[i][j] = gram[i][j]
     w2 = finite.bilinear(omega, omega)
-    basis = [tuple(Fraction(i == j) for j in range(n)) for i in range(n)]
+    basis = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     for i in range(n):
         b = finite.bilinear(basis[i], omega)
         ext[i][n] = ext[n][i] = -b
@@ -223,10 +221,8 @@ def orbit_series(datum, orbit_index):
     targets = []
     for i in orbit:
         a = datum.finite_poset.roots[i].coords
-        targets.append(tuple(a) + (Fraction(0),))
-        targets.append(
-            tuple(w - c for w, c in zip(datum.omega, a)) + (Fraction(1),)
-        )
+        targets.append(tuple(a) + (0,))
+        targets.append(tuple(w - c for w, c in zip(datum.omega, a)) + (1,))
     poset = datum.poset(2 * len(orbit))
     depths = {}
     for coords in targets:

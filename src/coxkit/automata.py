@@ -138,14 +138,17 @@ def low_elements(system, m, limit=None):
     Breadth-first over the group, keeping the first element whose
     inversion set meets the m-small roots in a set not seen before;
     stops once every set reachable in the automaton has an owner.
+    `limit` caps both the automaton's states and the enumerated ball,
+    raising LimitExceeded past either.
     """
-    dfa = build_automaton(system, m, "red")
+    dfa = build_automaton(system, m, "red", limit=limit)
     targets = {key for key, _ in dfa.states}
     small = dfa.poset.index
     found = {}
     depth = 4
     while True:
-        for u in cayley_bfs(system, max_length=depth, limit=limit):
+        ball = cayley_bfs(system, max_length=depth, limit=limit)
+        for u in ball:
             key = tuple(sorted(
                 small[c] for c in u.inversion_set() if c in small
             ))
@@ -153,8 +156,8 @@ def low_elements(system, m, limit=None):
                 found[key] = u
         if targets <= set(found):
             break
-        if limit is not None and depth > limit:
-            raise LimitExceeded("ball of length %d has sets missing" % depth)
+        if ball[-1].length < depth:
+            raise ArithmeticError("the whole group leaves small-root sets unrealized")
         depth *= 2
     return sorted((found[key] for key in targets), key=lambda u: (u.length, u.word))
 

@@ -33,6 +33,25 @@ def _system(spec):
     return CoxeterSystem(matrix=coxeter_matrix_from_descriptor(spec))
 
 
+def _count(text):
+    """argparse type for depths, bounds and caps: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be a non-negative integer, got %r" % text)
+    return value
+
+
+def _write_file(path, text):
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValueError("cannot write %s: %s" % (path, exc.strerror or exc))
+
+
 def _fmt(word, rank):
     return format_word(word, rank)
 
@@ -51,8 +70,7 @@ def cmd_roots(args, out):
     system = _system(args.spec)
     poset = root_poset(system, max_depth=args.max_depth, limit=args.max_roots)
     if args.dot:
-        with open(args.dot, "w") as fh:
-            fh.write(poset.to_dot())
+        _write_file(args.dot, poset.to_dot())
     if args.json:
         obj = {
             "rank": system.rank,
@@ -96,8 +114,7 @@ def cmd_automaton(args, out):
     system = _system(args.spec)
     dfa = build_automaton(system, args.m, args.kind, limit=args.max_elements)
     if args.dot:
-        with open(args.dot, "w") as fh:
-            fh.write(dfa_to_dot(dfa))
+        _write_file(args.dot, dfa_to_dot(dfa))
     series = dfa_series(dfa) if args.series else None
     if args.json:
         obj = dfa_to_obj(dfa)
@@ -232,9 +249,9 @@ def cmd_affine(args, out):
 
 def _add_common(sub):
     sub.add_argument("--json", action="store_true", help="JSON output")
-    sub.add_argument("--max-elements", type=int, default=200000,
+    sub.add_argument("--max-elements", type=_count, default=200000,
                      help="cap on enumerated group elements and automaton states")
-    sub.add_argument("--max-roots", type=int, default=100000,
+    sub.add_argument("--max-roots", type=_count, default=100000,
                      help="cap on enumerated roots")
 
 
@@ -248,7 +265,7 @@ def build_parser():
 
     p = subs.add_parser("roots", help="root poset by depth")
     p.add_argument("spec", help="preset name or Coxeter matrix JSON")
-    p.add_argument("--max-depth", type=int, required=True)
+    p.add_argument("--max-depth", type=_count, required=True)
     p.add_argument("--poset", action="store_true", help="show cover lists")
     p.add_argument("--dot", metavar="FILE", help="write DOT to FILE")
     _add_common(p)
@@ -256,18 +273,18 @@ def build_parser():
 
     p = subs.add_parser("automaton", help="canonical m-automaton")
     p.add_argument("spec")
-    p.add_argument("--m", type=int, default=0)
+    p.add_argument("--m", type=_count, default=0)
     p.add_argument("--kind", choices=("red", "pref"), default="red")
     p.add_argument("--dot", metavar="FILE")
     p.add_argument("--series", action="store_true",
                    help="exact generating series of the language")
-    p.add_argument("--terms", type=int, default=12)
+    p.add_argument("--terms", type=_count, default=12)
     _add_common(p)
     p.set_defaults(func=cmd_automaton)
 
     p = subs.add_parser("reflections", help="reflection census in a ball")
     p.add_argument("spec")
-    p.add_argument("--max-length", type=int, required=True)
+    p.add_argument("--max-length", type=_count, required=True)
     _add_common(p)
     p.set_defaults(func=cmd_reflections)
 
@@ -286,7 +303,7 @@ def build_parser():
 
     p = subs.add_parser("affine", help="affine closed forms")
     p.add_argument("type", help="affine type name such as ~B3")
-    p.add_argument("--terms", type=int, default=12)
+    p.add_argument("--terms", type=_count, default=12)
     _add_common(p)
     p.set_defaults(func=cmd_affine)
 

@@ -8,18 +8,38 @@ rational form may be supplied instead, as in the integral models of the
 affine types.  Elements are stored as exact matrices in the simple-root
 basis together with their shortlex normal form, so equality, descents
 and lengths are all decided without floating point.
+
+Every Cartan coefficient 2B(a_s, a_t)/B(a_s, a_s) of the unitary form is
+-2cos(pi/m_st), an algebraic integer, and a Cartan integer in the
+crystallographic forms.  Root coordinates and element matrices are
+therefore built from the simple roots by integer combinations alone and
+lie in Z[theta]: plain ints when the field is Q, and AlgebraicNumbers
+with int coefficients otherwise.  Only the Gram matrix, which is never
+multiplied into a root, keeps Fractions.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import mul
 
-from .field import AlgebraicNumber, CyclotomicField, field_for_matrix
+from .field import AlgebraicNumber, CyclotomicField, exact, field_for_matrix, sign
 
 
 class LimitExceeded(RuntimeError):
     """Raised when an enumeration outgrows its configured cap."""
+
+
+def _bond(x):
+    """A matrix entry as an int; non-integral values are rejected."""
+    try:
+        v = int(x)
+    except (TypeError, ValueError, OverflowError):
+        v = None
+    if v is None or isinstance(x, (bool, str)) or v != x:
+        raise ValueError("Coxeter matrix entries must be integers, got %r" % (x,))
+    return v
 
 
 class CoxeterMatrix:
@@ -28,7 +48,7 @@ class CoxeterMatrix:
     __slots__ = ("entries", "rank")
 
     def __init__(self, entries):
-        rows = tuple(tuple(int(x) for x in row) for row in entries)
+        rows = tuple(tuple(_bond(x) for x in row) for row in entries)
         n = len(rows)
         if n == 0 or any(len(r) != n for r in rows):
             raise ValueError("Coxeter matrix must be square and nonempty")
@@ -230,8 +250,8 @@ def _column_is_negative(rows, j):
     # root columns have uniform sign; the first nonzero entry decides
     for row in rows:
         x = row[j]
-        if x != 0:
-            return x < 0
+        if x:
+            return sign(x) < 0
     return False
 
 
@@ -259,16 +279,25 @@ def _left_mul_gen(system, rows, s):
     return tuple(out)
 
 
-def _matmul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
+def _matmul(system, a, b):
+    dot = system._dot
+    cols = tuple(zip(*b))
+    return tuple(tuple(dot(row, col) for col in cols) for row in a)
 
 
-def _dot(row, coords):
-    return sum(x * y for x, y in zip(row, coords))
+def _rational_dot(row, coords):
+    return sum(map(mul, row, coords))
+
+
+def _cartan(b, norm):
+    """2b/norm exactly: an int where integral, a Fraction for a form that
+    is not integral, an AlgebraicNumber only where irrational.  b and
+    norm are Gram entries, Fractions or AlgebraicNumbers, so this never
+    divides two ints."""
+    c = exact(2 * b / norm)
+    if isinstance(c, AlgebraicNumber) and c.is_rational():
+        return c.rational()
+    return c
 
 
 def _shortlex_word(system, rows, inv_rows):
@@ -323,8 +352,8 @@ class GroupElement:
         return format_word(self.word, self.system.rank)
 
     def __mul__(self, other):
-        rows = _matmul(self.rows, other.rows)
-        inv = _matmul(other.inv_rows, self.inv_rows)
+        rows = _matmul(self.system, self.rows, other.rows)
+        inv = _matmul(self.system, other.inv_rows, self.inv_rows)
         return GroupElement(self.system, rows, inv, _shortlex_word(self.system, rows, inv))
 
     def inverse(self):
@@ -351,7 +380,8 @@ class GroupElement:
                      if _column_is_negative(self.inv_rows, s))
 
     def act(self, coords):
-        return tuple(_dot(row, coords) for row in self.rows)
+        dot = self.system._dot
+        return tuple(dot(row, coords) for row in self.rows)
 
     def inversion_set(self):
         """Positive roots sent negative, as b_k = w_1..w_{k-1}(a_{w_k})."""
@@ -389,7 +419,7 @@ class CoxeterSystem:
                             row.append(-field.cos_pi_over(mij))
                 g.append(row)
             if field.degree == 1:
-                g = [[x.rational() for x in row] for row in g]
+                g = [[Fraction(x.rational()) for x in row] for row in g]
             self.mode = "unitary"
         else:
             g = [list(row) for row in gram]
@@ -425,18 +455,15 @@ class CoxeterSystem:
         self.field = field
         self.gram = tuple(tuple(row) for row in g)
         self.norms = tuple(self.gram[i][i] for i in range(n))
-        sample = self.gram[0][0]
-        if isinstance(sample, AlgebraicNumber):
-            self.one, self.zero = field.one, field.zero
+        # coordinates are ints over Q, int-coefficient AlgebraicNumbers otherwise
+        if isinstance(self.gram[0][0], AlgebraicNumber):
+            self.one, self.zero, self._dot = field.one, field.zero, field.dot
         else:
-            self.one, self.zero = Fraction(1), Fraction(0)
+            self.one, self.zero, self._dot = 1, 0, _rational_dot
+        # the nonzero Cartan coefficients c_sj = 2B(a_s, a_j)/B(a_s, a_s), j != s
         self._neighbors = tuple(
-            tuple((j, 2 * self.gram[s][j] / self.norms[s])
+            tuple((j, _cartan(self.gram[s][j], self.norms[s]))
                   for j in range(n) if j != s and self.gram[s][j] != 0)
-            for s in range(n)
-        )
-        self._gram_cols = tuple(
-            tuple((i, self.gram[i][s]) for i in range(n) if self.gram[i][s] != 0)
             for s in range(n)
         )
         self._id_rows = tuple(
@@ -451,10 +478,6 @@ class CoxeterSystem:
     def simple_root(self, s):
         return tuple(self.one if i == s else self.zero for i in range(self.rank))
 
-    def b_simple(self, coords, s):
-        """B(coords, a_s), using the sparse column of the form."""
-        return sum(coords[i] * c for i, c in self._gram_cols[s])
-
     def bilinear(self, x, y):
         total = self.zero
         for i, xi in enumerate(x):
@@ -466,13 +489,26 @@ class CoxeterSystem:
     def norm_sq(self, coords):
         return self.bilinear(coords, coords)
 
+    def pairing(self, coords, s):
+        """2B(coords, a_s)/B(a_s, a_s), read off the Cartan column.
+
+        An integer combination of the coordinates, so it stays in Z[theta]
+        for a root; its sign is the sign of B(coords, a_s).
+        """
+        xs = coords[s]
+        acc = xs + xs
+        for j, c in self._neighbors[s]:
+            acc = acc + c * coords[j]
+        return acc
+
     def reflect(self, coords, s):
-        """Image of a vector under the simple reflection s; one coordinate moves."""
-        c = 2 * self.b_simple(coords, s) / self.norms[s]
-        if c == 0:
-            return tuple(coords)
+        """Image of a vector under the simple reflection s; one coordinate moves.
+
+        x_s becomes x_s - pairing = -x_s - sum_j c_sj x_j, the same Cartan
+        column that right multiplication by s applies to a matrix row.
+        """
         out = list(coords)
-        out[s] = out[s] - c
+        out[s] = coords[s] - self.pairing(coords, s)
         return tuple(out)
 
     def element(self, word=()):
@@ -571,7 +607,7 @@ def reflection_from_root(system, coords):
             word = ups + [t] + ups[::-1]
             return system.element(word)
         for s in range(system.rank):
-            if system.b_simple(g, s) > 0:
+            if sign(system.pairing(g, s)) > 0:
                 ups.append(s)
                 g = system.reflect(g, s)
                 break

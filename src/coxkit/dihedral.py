@@ -12,6 +12,7 @@ on, so a walk may stop as soon as it climbs past its cap.
 import math
 
 from .core import reflection_from_root
+from .field import exact
 from .prefixes import _reflection_root, prefix_of_reflection
 from .roots import Root, root_profile
 
@@ -58,7 +59,8 @@ def _positive(system, v):
 
 
 def _reflect_in(system, v, root, norm):
-    c = (system.bilinear(v, root) + system.bilinear(v, root)) / norm
+    # 2B(v, root)/|root|^2 is integral for roots, so v stays in Z[theta]
+    c = exact((system.bilinear(v, root) + system.bilinear(v, root)) / norm)
     return tuple(x - c * y for x, y in zip(v, root))
 
 

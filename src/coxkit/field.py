@@ -4,16 +4,36 @@ A Coxeter matrix with finite off-diagonal bonds m_st needs the numbers
 cos(pi/m_st) exactly.  All of them live in K = Q(theta) for
 theta = 2cos(pi/L) with L = lcm of the finite bonds, because
 2cos(k*pi/L) is an integer polynomial (a Chebyshev-like basis element)
-evaluated at theta.  Elements of K are coefficient vectors over Q; the
-sign of an element is decided without floating point, by interval
-arithmetic against a rational isolating interval for theta that is
-refined by bisection as needed.
+evaluated at theta.  Elements of K are coefficient vectors in powers of
+theta, reduced modulo the monic integer minimal polynomial.
+
+A coefficient that is an integer is stored as a Python int; a Fraction
+appears only where a value is not an integer.  Root coordinates and
+element matrices lie in the ring Z[theta] (every Cartan coefficient
+-2cos(pi/m) is an algebraic integer), so their arithmetic never leaves
+int.  The sign of an element is decided without floating point, by
+integer interval arithmetic against a dyadic isolating interval for
+theta that is refined by bisection as needed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import add, neg, sub
+
+
+def exact(x):
+    """x with every integral rational stored as an int.
+
+    Takes an int, a Fraction or an AlgebraicNumber (whose coefficients
+    are converted); the value is unchanged.
+    """
+    if isinstance(x, AlgebraicNumber):
+        return AlgebraicNumber(x.field, tuple(exact(c) for c in x.coeffs))
+    if type(x) is int:
+        return x
+    return x.numerator if x.denominator == 1 else x
 
 
 def _poly_trim(c):
@@ -44,6 +64,15 @@ def _poly_divmod(a, b):
     return _poly_trim(q), _poly_trim(r)
 
 
+def _poly_mul_into(prod, a, b):
+    """prod[i + j] += a[i] * b[j], skipping zero coefficients."""
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    prod[i + j] += ai * bj
+
+
 def _poly_eval(c, x):
     acc = Fraction(0)
     for coeff in reversed(c):
@@ -55,20 +84,45 @@ def _poly_deriv(c):
     return [i * coeff for i, coeff in enumerate(c)][1:]
 
 
+def _mobius(n):
+    mu, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return -mu if n > 1 else mu
+
+
 def cyclotomic(n):
     """Integer coefficients (lowest-first) of the n-th cyclotomic polynomial.
 
-    Computed by the recursive exact division
-    Phi_n = (x^n - 1) / prod_{d | n, d < n} Phi_d.
+    Phi_n = prod_{d | n} (x^d - 1)^mu(n/d): the factors with mu = 1 are
+    multiplied out, then those with mu = -1 divided out exactly.
     """
-    num = [-Fraction(1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
-    for d in range(1, n):
-        if n % d == 0:
-            q, r = _poly_divmod(num, cyclotomic(d))
-            if r:
-                raise ArithmeticError("cyclotomic division not exact")
-            num = q
-    return [int(c) for c in num]
+    num, dens = [1], []
+    for d in range(1, n + 1):
+        if n % d:
+            continue
+        mu = _mobius(n // d)
+        if mu == 1:
+            prod = [0] * d + num
+            for i, c in enumerate(num):
+                prod[i] -= c
+            num = prod
+        elif mu == -1:
+            dens.append(d)
+    for d in dens:
+        # num = q (x^d - 1) means num_k = q_{k-d} - q_k; solve from the top
+        q = [0] * len(num)
+        for k in range(len(num) - 1, d - 1, -1):
+            q[k - d] = num[k] + q[k]
+        if any(num[k] + q[k] for k in range(d)):
+            raise ArithmeticError("cyclotomic division not exact")
+        num = q[:len(num) - d]
+    return num
 
 
 def chebyshev_c(k):
@@ -95,8 +149,8 @@ def _minpoly_from_cyclotomic(L):
         raise ArithmeticError("expected even-degree cyclotomic polynomial")
     m = deg // 2
     # Phi palindromic: Phi/x^m = c_m + sum_{k>=1} c_{m+k} (x^k + x^-k)
-    psi = [Fraction(0)] * (m + 1)
-    psi[0] = Fraction(phi[m])
+    psi = [0] * (m + 1)
+    psi[0] = phi[m]
     for k in range(1, m + 1):
         ck = chebyshev_c(k)
         for i, c in enumerate(ck):
@@ -129,58 +183,77 @@ def _sturm_count(chain, a, b):
     return variations(a) - variations(b)
 
 
-def _interval_mul(lo1, hi1, lo2, hi2):
-    vals = (lo1 * lo2, lo1 * hi2, hi1 * lo2, hi1 * hi2)
-    return min(vals), max(vals)
+def _dyadic_eval(poly, lo, hi, k):
+    """Enclosure of 2^(k*deg) * poly(x) over x in [lo/2^k, hi/2^k].
 
-
-def _interval_eval(poly, lo, hi):
-    """Enclosure of poly over [lo, hi] by interval Horner."""
-    alo = ahi = Fraction(0)
-    for coeff in reversed(poly):
-        alo, ahi = _interval_mul(alo, ahi, lo, hi)
-        alo += coeff
-        ahi += coeff
+    Interval Horner on int coefficients and int endpoints: the term of
+    degree i is scaled by 2^(k*(deg-i)), so every step stays integral and
+    the enclosure is the rational one times 2^(k*deg).
+    """
+    d = len(poly) - 1
+    alo = ahi = poly[-1]
+    for i in range(d - 1, -1, -1):
+        vals = (alo * lo, alo * hi, ahi * lo, ahi * hi)
+        term = poly[i] << (k * (d - i))
+        alo = min(vals) + term
+        ahi = max(vals) + term
     return alo, ahi
 
 
+def _dyadic_sign(poly, x, k):
+    v = _dyadic_eval(poly, x, x, k)[0]
+    return (v > 0) - (v < 0)
+
+
 class CyclotomicField:
-    """The field Q(theta), theta = 2cos(pi/L), with exact sign determination."""
+    """The field Q(theta), theta = 2cos(pi/L), with exact sign determination.
+
+    The minimal polynomial, the reduction table, zero, one and theta all
+    have int coefficients.  theta is kept in a dyadic isolating interval
+    [lo/2^k, hi/2^k], stored as the ints (lo, hi, k).
+    """
 
     def __init__(self, L):
         if L < 1:
             raise ValueError("L must be a positive integer")
         self.L = L
-        if L == 1:
-            self.theta_rational = Fraction(-2)
-        elif L == 2:
-            self.theta_rational = Fraction(0)
-        elif L == 3:
-            self.theta_rational = Fraction(1)
-        else:
-            self.theta_rational = None
+        self.theta_rational = {1: -2, 2: 0, 3: 1}.get(L)
         if self.theta_rational is not None:
-            self.minpoly = (-self.theta_rational, Fraction(1))
-            self.degree = 1
             t = self.theta_rational
-            self.theta_interval = (t - 1, t + 1)
+            self.minpoly = (-t, 1)
+            self.degree = 1
+            lo, hi = Fraction(t - 1), Fraction(t + 1)
         else:
             mp = _minpoly_from_cyclotomic(L)
             if mp[-1] != 1:
                 raise ArithmeticError("minimal polynomial not monic")
             self.minpoly = tuple(mp)
             self.degree = len(mp) - 1
-            self.theta_interval = self._isolate_largest_root()
-        self._lo, self._hi = self.theta_interval
+            lo, hi = self._isolate_largest_root()
+        k = max(lo.denominator, hi.denominator).bit_length() - 1
+        lo, hi = lo * 2 ** k, hi * 2 ** k
+        if lo.denominator != 1 or hi.denominator != 1:
+            raise ArithmeticError("isolating interval is not dyadic")
+        self._theta = (lo.numerator, hi.numerator, k)
         self._reduction = self._reduction_table()
-        self.zero = AlgebraicNumber(self, (Fraction(0),) * self.degree)
+        self.zero = AlgebraicNumber(self, (0,) * self.degree)
         self.one = self.from_rational(1)
-        theta_coeffs = [Fraction(0)] * self.degree
+        theta_coeffs = [0] * self.degree
         if self.degree == 1:
             theta_coeffs[0] = self.theta_rational
         else:
-            theta_coeffs[1] = Fraction(1)
+            theta_coeffs[1] = 1
         self.theta = AlgebraicNumber(self, tuple(theta_coeffs))
+
+    @property
+    def _lo(self):
+        lo, _, k = self._theta
+        return Fraction(lo, 2 ** k)
+
+    @property
+    def _hi(self):
+        _, hi, k = self._theta
+        return Fraction(hi, 2 ** k)
 
     def _isolate_largest_root(self):
         """Rational interval around 2cos(pi/L), the largest root of minpoly.
@@ -204,32 +277,33 @@ class CyclotomicField:
         return lo, hi
 
     def _reduction_table(self):
-        """x^k mod minpoly for k = degree .. 2*degree-2, as coefficient rows."""
+        """x^k mod minpoly for k = degree .. 2*degree-2, as sparse rows of
+        (index, coefficient) pairs."""
         d = self.degree
         rows = []
-        cur = [Fraction(-c) for c in self.minpoly[:-1]]  # x^d mod minpoly
+        cur = [-c for c in self.minpoly[:-1]]  # x^d mod minpoly
         rows.append(list(cur))
         for _ in range(d + 1, 2 * d - 1):
-            cur = [Fraction(0)] + cur
+            cur = [0] + cur
             top = cur.pop()
             if top:
                 for i in range(d):
                     cur[i] -= top * self.minpoly[i]
             rows.append(list(cur))
-        return rows
+        return [tuple((i, c) for i, c in enumerate(row) if c) for row in rows]
 
     def refine_theta(self):
         """Halve the isolating interval once (sign change pinned on minpoly)."""
-        lo, hi = self._lo, self._hi
-        mid = (lo + hi) / 2
-        if _sign_at(self.minpoly, mid) == _sign_at(self.minpoly, lo):
-            self._lo = mid
+        lo, hi, k = self._theta
+        mid = lo + hi  # the midpoint, at scale 2^(k+1)
+        if _dyadic_sign(self.minpoly, mid, k + 1) == _dyadic_sign(self.minpoly, lo, k):
+            self._theta = (mid, 2 * hi, k + 1)
         else:
-            self._hi = mid
+            self._theta = (2 * lo, mid, k + 1)
 
     def from_rational(self, q):
-        coeffs = [Fraction(0)] * self.degree
-        coeffs[0] = Fraction(q)
+        coeffs = [0] * self.degree
+        coeffs[0] = exact(q)
         return AlgebraicNumber(self, tuple(coeffs))
 
     def cos_pi_over(self, m):
@@ -238,38 +312,44 @@ class CyclotomicField:
             return self.from_rational(0)
         if m < 1 or self.L % m:
             raise ValueError(f"bond {m} does not divide L = {self.L}")
-        k = self.L // m
-        ck = chebyshev_c(k)
-        half = Fraction(1, 2)
-        coeffs = [Fraction(0)] * max(self.degree, len(ck))
-        for i, c in enumerate(ck):
-            coeffs[i] = half * c
-        return self._reduce(coeffs)
+        double = self._reduce(chebyshev_c(self.L // m))  # 2cos(pi/m), in Z[theta]
+        return AlgebraicNumber(self, tuple(exact(Fraction(c, 2)) for c in double.coeffs))
+
+    def dot(self, xs, ys):
+        """sum(x * y for x, y in zip(xs, ys)), reduced once at the end.
+
+        Operands are elements of this field or rationals.
+        """
+        prod = [0] * (2 * self.degree - 1)
+        for x, y in zip(xs, ys):
+            _poly_mul_into(prod, x.coeffs if isinstance(x, AlgebraicNumber) else (x,),
+                           y.coeffs if isinstance(y, AlgebraicNumber) else (y,))
+        return self._reduce(prod)
 
     def _reduce(self, coeffs):
         """Reduce an arbitrary-length coefficient vector mod minpoly."""
         d = self.degree
-        coeffs = list(coeffs) + [Fraction(0)] * max(0, d - len(coeffs))
-        if len(coeffs) > d:
-            if self.degree == 1:
-                # substitute the rational theta directly
-                t = self.theta_rational
-                acc = Fraction(0)
-                for c in reversed(coeffs):
-                    acc = acc * t + c
-                coeffs = [acc]
-            elif len(coeffs) > 2 * d - 1:
-                # beyond the table; one exact division suffices
-                _, r = _poly_divmod(coeffs, list(self.minpoly))
-                coeffs = list(r) + [Fraction(0)] * (d - len(r))
-            else:
-                for k in range(len(coeffs) - 1, d - 1, -1):
-                    c = coeffs[k]
-                    if c:
-                        row = self._reduction[k - d]
-                        for i in range(d):
-                            coeffs[i] += c * row[i]
-                    coeffs.pop()
+        n = len(coeffs)
+        if n <= d:
+            return AlgebraicNumber(self, tuple(coeffs) + (0,) * (d - n))
+        if d == 1:
+            # substitute the rational theta directly
+            t = self.theta_rational
+            acc = 0
+            for c in reversed(coeffs):
+                acc = acc * t + c
+            coeffs = [acc]
+        elif n > 2 * d - 1:
+            # beyond the table; one exact division suffices
+            _, r = _poly_divmod(coeffs, list(self.minpoly))
+            coeffs = [exact(c) for c in r] + [0] * (d - len(r))
+        else:
+            coeffs = list(coeffs)
+            for k in range(n - 1, d - 1, -1):
+                c = coeffs[k]
+                if c:
+                    for i, r in self._reduction[k - d]:
+                        coeffs[i] += c * r
         return AlgebraicNumber(self, tuple(coeffs[:d]))
 
     def __repr__(self):
@@ -283,7 +363,11 @@ class CyclotomicField:
 
 
 class AlgebraicNumber:
-    """Element of a CyclotomicField: coefficient vector over Q in powers of theta."""
+    """Element of a CyclotomicField: coefficient vector over Q in powers of theta.
+
+    Coefficients are ints wherever they are integers (always, for roots
+    and element matrices, which lie in Z[theta]) and Fractions otherwise.
+    """
 
     __slots__ = ("field", "coeffs")
 
@@ -292,26 +376,36 @@ class AlgebraicNumber:
         self.coeffs = coeffs
 
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return not self
+
+    def __bool__(self):
+        return any(self.coeffs)
 
     def is_rational(self):
         return all(c == 0 for c in self.coeffs[1:])
 
     def rational(self):
-        """The value as a Fraction; only valid when the tail vanishes."""
+        """The value as an int or a Fraction; only valid when the tail vanishes."""
         if not self.is_rational():
             raise ValueError("not a rational element")
         return self.coeffs[0]
 
     def sign(self):
-        """Exact sign: -1, 0 or 1.  No floating point."""
+        """Exact sign: -1, 0 or 1.  No floating point.
+
+        Fraction coefficients are first cleared of their common
+        denominator, which keeps the sign.
+        """
         coeffs = self.coeffs
-        if all(c == 0 for c in coeffs[1:]):
+        if not any(coeffs[1:]):
             c0 = coeffs[0]
             return (c0 > 0) - (c0 < 0)
+        if any(type(c) is not int for c in coeffs):
+            den = lcm(*(c.denominator for c in coeffs))
+            coeffs = [int(c * den) for c in coeffs]
         f = self.field
         while True:
-            lo, hi = _interval_eval(coeffs, f._lo, f._hi)
+            lo, hi = _dyadic_eval(coeffs, *f._theta)
             if lo > 0:
                 return 1
             if hi < 0:
@@ -320,39 +414,39 @@ class AlgebraicNumber:
 
     def __add__(self, other):
         other = self._coerce(other)
-        return AlgebraicNumber(self.field, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return AlgebraicNumber(self.field, tuple(map(add, self.coeffs, other.coeffs)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = self._coerce(other)
-        return AlgebraicNumber(self.field, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return AlgebraicNumber(self.field, tuple(map(sub, self.coeffs, other.coeffs)))
 
     def __rsub__(self, other):
         return self._coerce(other) - self
 
     def __neg__(self):
-        return AlgebraicNumber(self.field, tuple(-a for a in self.coeffs))
+        return AlgebraicNumber(self.field, tuple(map(neg, self.coeffs)))
 
     def __mul__(self, other):
+        f = self.field
+        if isinstance(other, (int, Fraction)):
+            # a rational scales every coefficient
+            return AlgebraicNumber(f, tuple([other * a for a in self.coeffs]))
         other = self._coerce(other)
         a, b = self.coeffs, other.coeffs
-        d = self.field.degree
+        d = f.degree
         if d == 1:
-            return AlgebraicNumber(self.field, (a[0] * b[0],))
-        prod = [Fraction(0)] * (2 * d - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        prod[i + j] += ai * bj
-        return self.field._reduce(prod)
+            return AlgebraicNumber(f, (a[0] * b[0],))
+        prod = [0] * (2 * d - 1)
+        _poly_mul_into(prod, a, b)
+        return f._reduce(prod)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = self._coerce(other)
-        return self * other.inverse()
+        return exact(self * other.inverse())
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self
@@ -361,7 +455,7 @@ class AlgebraicNumber:
         if self.is_zero():
             raise ZeroDivisionError("division by zero field element")
         if self.field.degree == 1:
-            return AlgebraicNumber(self.field, (1 / self.coeffs[0],))
+            return AlgebraicNumber(self.field, (exact(Fraction(1) / self.coeffs[0]),))
         # extended Euclid: u*self + v*minpoly = 1 in Q[x]
         a = list(self.field.minpoly)
         b = _poly_trim(self.coeffs)
@@ -385,12 +479,11 @@ class AlgebraicNumber:
             s0, s1 = s1, _poly_trim(s_next) or [Fraction(0)]
         if len(b) != 1:
             raise ArithmeticError("element not invertible; minpoly not irreducible?")
-        inv = [c / b[0] for c in s1]
-        return self.field._reduce(inv)
+        return exact(self.field._reduce([c / b[0] for c in s1]))
 
     def _coerce(self, other):
         if isinstance(other, AlgebraicNumber):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise ValueError("mixed fields")
             return other
         if isinstance(other, (int, Fraction)):
@@ -443,6 +536,13 @@ class AlgebraicNumber:
 
     def __repr__(self):
         return f"AlgebraicNumber({self})"
+
+
+def sign(x):
+    """Exact sign of an int, a Fraction or an AlgebraicNumber: -1, 0 or 1."""
+    if isinstance(x, AlgebraicNumber):
+        return x.sign()
+    return (x > 0) - (x < 0)
 
 
 def field_for_matrix(matrix):

@@ -10,6 +10,7 @@ end at the root of t.
 """
 
 from .core import _simple_index, format_word, is_reflection
+from .field import sign
 from .roots import root_poset, root_profile
 
 
@@ -85,7 +86,7 @@ def prefix_of_reflection(system, t):
             p = system.element(ups + [s])
             return ReflectionPrefix(p, t, root, s)
         for s in range(system.rank):
-            if system.b_simple(g, s) > 0:
+            if sign(system.pairing(g, s)) > 0:
                 ups.append(s)
                 g = system.reflect(g, s)
                 break

@@ -4,17 +4,18 @@ Depth dp(b) is the least length of a group element sending b into the
 simple system, so simple roots sit at depth 0.  For a
 positive root b and a generator s the sign of B(b, a_s) tells where
 s(b) sits: negative means a cover b < s(b), positive means a step down,
-zero means s fixes b.  A cover is long when B(b, a_s)^2 >= |b|^2 |a_s|^2;
+zero means s fixes b.  Both are read off the integer Cartan pairing
+c = 2B(b, a_s)/|a_s|^2, which has the sign of B(b, a_s) and moves one
+coordinate: s(b) = b - c a_s.  A cover is long when
+B(b, a_s)^2 >= |b|^2 |a_s|^2, that is when |a_s|^2 c^2 >= 4|b|^2;
 dp_inf counts the long covers along any path up from a simple root (the
 count is path independent), and a root is m-small when dp_inf <= m.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .core import LimitExceeded, _simple_index
-from .field import AlgebraicNumber
+from .field import AlgebraicNumber, exact, sign
 
 
 class Root:
@@ -38,10 +39,10 @@ def _entry_digit(x):
         if not x.is_rational():
             return None
         x = x.rational()
-    x = Fraction(x)
-    if x.denominator != 1 or not 0 <= x.numerator <= 9:
+    x = exact(x)
+    if type(x) is not int or not 0 <= x <= 9:
         return None
-    return str(x.numerator)
+    return str(x)
 
 
 def _entry_str(x):
@@ -115,12 +116,13 @@ def root_poset(system, max_depth=None, msmall=None, limit=None):
     if max_depth is None and msmall is None and limit is None:
         raise ValueError("need max_depth, msmall or limit")
     n = system.rank
+    norms = [exact(x) for x in system.norms]  # ints wherever the form allows
     roots = []
     edges = []
     index = {}
     frontier = []
     for s in range(n):
-        r = Root(system.simple_root(s), 0, 0, system.norms[s], s)
+        r = Root(system.simple_root(s), 0, 0, norms[s], s)
         roots.append(r)
         index[r.coords] = s
         frontier.append(r)
@@ -130,15 +132,16 @@ def root_poset(system, max_depth=None, msmall=None, limit=None):
             break
         nxt = []
         for beta in frontier:
+            coords = beta.coords
             for s in range(n):
-                b = system.b_simple(beta.coords, s)
-                if not b < 0:
+                c = system.pairing(coords, s)
+                if sign(c) >= 0:
                     continue
-                is_long = b * b >= beta.norm_sq * system.norms[s]
+                is_long = c * c * norms[s] >= 4 * beta.norm_sq
                 dpinf = beta.dpinf + (1 if is_long else 0)
                 if msmall is not None and dpinf > msmall:
                     continue
-                gamma = system.reflect(beta.coords, s)
+                gamma = coords[:s] + (coords[s] - c,) + coords[s + 1:]
                 gi = index.get(gamma)
                 if gi is None:
                     gr = Root(gamma, depth + 1, dpinf, beta.norm_sq, len(roots))
@@ -178,9 +181,9 @@ def root_profile(system, coords):
         if t is not None:
             return len(letters), longs, letters
         for s in range(system.rank):
-            b = system.b_simple(g, s)
-            if b > 0:
-                if b * b >= norm * system.norms[s]:
+            c = system.pairing(g, s)
+            if sign(c) > 0:
+                if c * c * system.norms[s] >= 4 * norm:
                     longs += 1
                 letters.append(s)
                 g = system.reflect(g, s)

@@ -10,7 +10,7 @@ import math
 from fractions import Fraction
 
 from .automata import count_by_length
-from .field import _poly_divmod as _coeff_divmod
+from .field import _poly_divmod as _coeff_divmod, exact
 
 
 def _strip(coeffs):
@@ -200,6 +200,13 @@ class RationalSeries:
         self.num = num * (1 / c)
         self.den = den * (1 / c)
 
+    @classmethod
+    def _reduced(cls, num, den):
+        """num/den taken as it is: coprime, with den(0) = 1."""
+        out = cls.__new__(cls)
+        out.num, out.den = num, den
+        return out
+
     def __eq__(self, other):
         if isinstance(other, RationalSeries):
             return self.num == other.num and self.den == other.den
@@ -270,27 +277,36 @@ def berlekamp_massey(seq):
     sum_j den[j] * seq[k - j] = 0 for every L <= k < len(seq).  When
     the whole sequence has linear complexity L and len(seq) >= 2L, the
     recurrence is the unique minimal one (Massey 1969).
+
+    Fraction-free: denominators are cleared up front, and each update
+    cross-multiplies by the two discrepancies instead of dividing, so
+    the connection polynomials stay primitive int vectors, each a
+    positive or negative multiple of the one Massey's division gives.
+    den is scaled to den[0] = 1 only at the end.
     """
-    den, prev = [Fraction(1)], [Fraction(1)]
-    length, gap, prev_d = 0, 1, Fraction(1)
-    for k, s in enumerate(seq):
-        d = s
-        for j in range(1, min(length, len(den) - 1) + 1):
+    scale = math.lcm(*(x.denominator for x in seq)) if seq else 1
+    seq = [int(x * scale) for x in seq]
+    den, prev = [1], [1]
+    length, gap, prev_d = 0, 1, 1
+    for k in range(len(seq)):
+        d = 0
+        for j in range(min(length, len(den) - 1) + 1):
             d += den[j] * seq[k - j]
         if not d:
             gap += 1
             continue
-        f = d / prev_d
-        new = den + [Fraction(0)] * max(0, len(prev) + gap - len(den))
+        new = [prev_d * c for c in den] + [0] * max(0, len(prev) + gap - len(den))
         for j, c in enumerate(prev):
-            new[j + gap] -= f * c
+            new[j + gap] -= d * c
+        content = math.gcd(*new)
         if 2 * length <= k:
             prev, prev_d = den, d
             length, gap = k + 1 - length, 1
         else:
             gap += 1
-        den = new
-    return _strip(den), length
+        den = [c // content for c in new]
+    lead = den[0]
+    return _strip(exact(Fraction(c, lead)) for c in den), length
 
 
 def dfa_series(dfa):
@@ -299,18 +315,20 @@ def dfa_series(dfa):
     The counts of an n-state automaton obey a linear recurrence of
     order at most n, so Berlekamp-Massey on the first 2n + 1 exact
     counts yields the reduced denominator; the numerator is the count
-    series times it, cut below the recurrence length.  The expansion is
-    checked against a direct count before returning.
+    series times it, cut below the recurrence length.  The pair is
+    already in normal form: a common factor would give a shorter
+    recurrence, and den(0) = 1.  The recurrence is checked against
+    2n + 5 direct counts before returning: the product of den with the
+    counts must vanish from the recurrence length on.
     """
     n = len(dfa.states)
     check = 2 * n + 5
     counts = count_by_length(dfa, check - 1)
     den, length = berlekamp_massey(counts[: 2 * n + 1])
-    num = [
+    prod = [
         sum(den[j] * counts[k - j] for j in range(min(k, len(den) - 1) + 1))
-        for k in range(length)
+        for k in range(check)
     ]
-    series = RationalSeries(Polynomial(num), Polynomial(den))
-    if series.coefficients(check) != [Fraction(c) for c in counts]:
+    if any(prod[length:]):
         raise ArithmeticError("series expansion disagrees with direct count")
-    return series
+    return RationalSeries._reduced(Polynomial(prod[:length]), Polynomial(den))

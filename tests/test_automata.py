@@ -1,6 +1,7 @@
 """Word acceptors built on small-root subsets."""
 
 import json
+import time
 
 import pytest
 
@@ -131,3 +132,12 @@ def test_low_elements_distinct_small_sets():
 def test_low_elements_limit():
     with pytest.raises(ck.LimitExceeded):
         low_elements(system("~B3"), 2, limit=3)
+
+
+def test_low_elements_caps_the_automaton():
+    # ~E7 at m = 0 has far more than 1000 states; the cap stops the
+    # automaton build instead of comparing a length against it
+    start = time.perf_counter()
+    with pytest.raises(ck.LimitExceeded):
+        low_elements(system("~E7"), 0, limit=1000)
+    assert time.perf_counter() - start < 10.0

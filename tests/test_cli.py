@@ -1,6 +1,7 @@
 """Command-line behavior: output shape, exit codes, determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -150,3 +151,62 @@ def test_output_is_deterministic(capsys):
     _, first, _ = run(capsys, *argv)
     _, second, _ = run(capsys, *argv)
     assert first == second
+
+
+def test_dihedral_infinite_pair_in_all_infinite_group(capsys):
+    # the all-infinite U3 form is rational, with Gram entries -1: its
+    # Cartan coefficients 2B/|a|^2 must not become an int/int division,
+    # whose floats would keep this call from finishing
+    code, out, _ = run(capsys, "dihedral", "U3", "13213131231", "121313121")
+    assert code == 0
+    assert out == ("canonical generators: {121313121, 13213131231}, "
+                   "m = infinite-or-large\n")
+
+
+def test_reflections_of_e6(capsys):
+    # all 51,840 elements of E6; its 36 positive roots give 36 reflections
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "reflections", "E6", "--max-length", "37")
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 37
+    assert lines[-1] == ("census by length: 1:6 3:5 5:5 7:5 9:4 11:3 13:3 "
+                         "15:2 17:1 19:1 21:1")
+    assert elapsed < 12.0
+
+
+@pytest.mark.parametrize("argv", [
+    ("automaton", "A2", "--m", "-1"),
+    ("roots", "A2", "--max-depth", "-1"),
+    ("automaton", "A2", "--series", "--terms", "-3"),
+    ("affine", "~A2", "--terms", "-3"),
+    ("reflections", "A2", "--max-length", "-2"),
+    ("roots", "A2", "--max-depth", "two"),
+])
+def test_negative_counts_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "non-negative integer" in captured.err
+
+
+def test_non_integral_bond_exit_2(capsys):
+    code, out, err = run(capsys, "roots", "[[1,3.7],[3.7,1]]", "--max-depth", "2")
+    assert code == 2
+    assert out == ""
+    assert err == "error: Coxeter matrix entries must be integers, got 3.7\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("roots", "A2", "--max-depth", "2"),
+    ("automaton", "A2"),
+])
+def test_unwritable_dot_file_exit_2(tmp_path, capsys, argv):
+    target = str(tmp_path / "missing" / "x.dot")
+    code, _, err = run(capsys, *argv, "--dot", target)
+    assert code == 2
+    assert err.startswith("error: cannot write %s" % target)
+    assert len(err.splitlines()) == 1

@@ -1,10 +1,13 @@
 """Group arithmetic, normal forms, and enumeration."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 import coxkit as ck
+from coxkit.affine import affine_datum
+from coxkit.field import AlgebraicNumber
 from oracles import reduced_word_trie
 
 
@@ -192,3 +195,74 @@ def test_custom_gram_mode():
 def test_unknown_preset():
     with pytest.raises(ValueError):
         ck.preset("Z9")
+
+
+FINITE_PRESETS = ("A1", "A4", "B3", "C4", "D5", "E6", "E7", "E8", "F4", "G2",
+                  "H3", "H4", "I2(5)", "I2(inf)", "U3", "U4")
+AFFINE_PRESETS = ("~A2", "~A4", "~B3", "~B4", "~C2", "~C3", "~D4", "~D5", "~E6",
+                  "~E7", "~E8", "~F4", "~G2")
+# bonds 4, 5 and 6 need Q(2cos(pi/60)), a field of degree 16
+HYPERBOLIC_16 = [[1, 4, 5], [4, 1, 6], [5, 6, 1]]
+
+
+def _parts(x):
+    """The rational parts of an int, a Fraction or a field element."""
+    return x.coeffs if isinstance(x, AlgebraicNumber) else (x,)
+
+
+def _exactness_systems():
+    out = [(name, system(name)) for name in FINITE_PRESETS + AFFINE_PRESETS]
+    out.append(("hyperbolic-16", ck.CoxeterSystem(matrix=ck.CoxeterMatrix(HYPERBOLIC_16))))
+    out.append(("gram", ck.CoxeterSystem(gram=[[2, -1, 0], [-1, 2, -2], [0, -2, 4]])))
+    for name in ("~B3", "~G2"):
+        out.append((name + " crystallographic", affine_datum(name).system))
+    return out
+
+
+def _entries(sysm):
+    """Every Cartan coefficient, identity entry, shallow root coordinate
+    and small-ball matrix entry of a system."""
+    yield from (c for col in sysm._neighbors for _, c in col)
+    yield from (x for row in sysm._id_rows for x in row)
+    for r in ck.root_poset(sysm, max_depth=3).roots:
+        yield from r.coords
+    for w in ck.cayley_bfs(sysm, max_length=3):
+        yield from (x for row in w.rows + w.inv_rows for x in row)
+
+
+def test_no_float_in_the_arithmetic_core():
+    for name, sysm in _exactness_systems():
+        for x in _entries(sysm):
+            assert type(x) in (int, Fraction, AlgebraicNumber), (name, x)
+            assert all(type(c) in (int, Fraction) for c in _parts(x)), (name, x)
+
+
+def test_unitary_roots_and_elements_have_int_coefficients():
+    """Cartan coefficients -2cos(pi/m) are algebraic integers, so every
+    coordinate and matrix entry lies in Z[theta]."""
+    seen_degrees = set()
+    for name, sysm in _exactness_systems():
+        if sysm.mode != "unitary" and "crystallographic" not in name:
+            continue
+        seen_degrees.add(sysm.field.degree)
+        for x in _entries(sysm):
+            assert all(type(c) is int for c in _parts(x)), (name, x)
+    assert {1, 2, 4, 16} <= seen_degrees
+
+
+def test_custom_rational_form_keeps_fractions_exact():
+    # B(a_1, a_2)^2 = B_11 B_22 / 4, so the bond is 3, yet 2B_12/B_22 = -1/2
+    sysm = ck.CoxeterSystem(gram=[[1, -1], [-1, 4]])
+    assert sysm.matrix.entry(0, 1) == 3
+    assert dict(sysm._neighbors[1])[0] == Fraction(-1, 2)
+    roots = [r.coords for r in ck.root_poset(sysm, max_depth=5).roots]
+    assert roots == [(1, 0), (0, 1), (1, Fraction(1, 2)), (2, 1)]
+    assert [type(c) for c in roots[2]] == [int, Fraction]
+    assert len(ck.cayley_bfs(sysm)) == 6
+
+
+def test_matrix_rejects_non_integral_entries():
+    for bad in (3.7, "3", True, None, float("inf")):
+        with pytest.raises(ValueError):
+            ck.CoxeterMatrix([[1, bad], [bad, 1]])
+    assert ck.CoxeterMatrix([[1, 3.0], [3.0, 1]]).entry(0, 1) == 3

@@ -97,3 +97,44 @@ def test_unitary_h3_roots_have_unit_norm():
     poset = ck.root_poset(sysm, max_depth=10)
     for r in poset.roots:
         assert sysm.norm_sq(r.coords) == sysm.one
+
+
+def test_field_tables_have_int_coefficients():
+    for L in (1, 2, 3, 4, 5, 7, 12, 60):
+        f = CyclotomicField(L)
+        assert all(type(c) is int for c in f.minpoly)
+        for row in f._reduction:
+            assert all(type(c) is int for _, c in row)
+        for x in (f.zero, f.one, f.theta, f.from_rational(Fraction(6, 3))):
+            assert all(type(c) is int for c in x.coeffs)
+    assert CyclotomicField(60).degree == 16
+
+
+def test_inverse_and_division_stay_exact():
+    """No float ever appears, and integral results come back as int."""
+    for L in (1, 2, 3, 5, 12, 60):
+        f = CyclotomicField(L)
+        two = f.from_rational(2)
+        half = two.inverse()
+        assert half.coeffs[0] == Fraction(1, 2)
+        assert all(type(c) in (int, Fraction) for c in half.coeffs)
+        assert f.one.inverse().coeffs == f.one.coeffs
+        assert all(type(c) is int for c in (f.one / f.one).coeffs)
+        for x in (f.theta + f.one, f.theta * f.theta - two, f.from_rational(-3)):
+            if x.is_zero():
+                continue
+            for y in (x.inverse(), f.one / x, x / two, (x * x) / x):
+                assert not any(isinstance(c, float) for c in y.coeffs)
+            assert (x * x) / x == x
+            assert all(type(c) is int for c in ((x * x) / x).coeffs)
+            assert x * x.inverse() == f.one
+
+
+def test_integer_sign_matches_the_rational_enclosure():
+    f = CyclotomicField(12)  # theta = 2cos(pi/12), theta^2 = 2 + sqrt(3)
+    t = f.theta
+    assert (t * t - f.from_rational(2)).sign() == 1
+    assert (f.from_rational(Fraction(193, 100)) - t).sign() == -1
+    assert (f.from_rational(Fraction(194, 100)) - t).sign() == 1
+    assert (t * Fraction(1, 3) - f.from_rational(Fraction(64, 100))).sign() == 1
+    assert f._lo < Fraction(1932, 1000) < f._hi

@@ -213,3 +213,6 @@ def test_dfa_series_golden(spec, kind, m, num, den):
     gf = dfa_series(build_automaton(sysm, m, kind))
     assert gf.num.coeffs == tuple(num)
     assert gf.den.coeffs == tuple(den)
+    # dfa_series skips the reduction: the recurrence must come out coprime
+    assert poly_gcd(gf.num, gf.den) == P(1)
+    assert _euclid_gcd(gf.num, gf.den) == P(1)
