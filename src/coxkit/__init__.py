@@ -11,20 +11,20 @@ from .core import (
     is_reflection,
     parse_word,
     preset,
-    reflection_from_root,
     weak_order_leq,
 )
 from .field import AlgebraicNumber, CyclotomicField, field_for_matrix
 from .roots import (
     Root,
     RootPoset,
+    dominates,
     m_small_roots,
+    reflection_from_root,
     root_depth,
     root_dpinf,
     root_poset,
     root_profile,
 )
-from .roots import dominates
 from .prefixes import (
     ReflectionPrefix,
     check_prefix_bilinear,

@@ -19,7 +19,7 @@ from .affine import affine_datum, affine_to_obj, depth_polynomial, depth_series,
 from .automata import build_automaton, dfa_to_dot, dfa_to_obj
 from .core import CoxeterSystem, LimitExceeded, cayley_bfs, \
     coxeter_matrix_from_descriptor, format_word, is_reflection, parse_word
-from .dihedral import canonical_generators, canonical_generators_repfree
+from .dihedral import canonical_generators
 from .prefixes import is_reflection_prefix, palindromic_word, prefixes_of
 from .roots import root_poset
 from .series import dfa_series
@@ -50,14 +50,6 @@ def _write_file(path, text):
             fh.write(text)
     except OSError as exc:
         raise ValueError("cannot write %s: %s" % (path, exc.strerror or exc))
-
-
-def _fmt(word, rank):
-    return format_word(word, rank)
-
-
-def _series_obj(series, terms):
-    return series.to_obj(terms)
 
 
 def _print_series(name, series, terms, out):
@@ -119,7 +111,7 @@ def cmd_automaton(args, out):
     if args.json:
         obj = dfa_to_obj(dfa)
         if series is not None:
-            obj["series"] = _series_obj(series, args.terms)
+            obj["series"] = series.to_obj(args.terms)
         out.write(json.dumps(obj, indent=2) + "\n")
         return 0
     out.write("kind=%s m=%d\n" % (dfa.kind, dfa.m))
@@ -142,9 +134,9 @@ def cmd_reflections(args, out):
     if args.json:
         obj = [
             {
-                "word": _fmt(w.word, system.rank),
+                "word": format_word(w.word, system.rank),
                 "length": w.length,
-                "palindrome": _fmt(palindromic_word(system, w), system.rank),
+                "palindrome": format_word(palindromic_word(system, w), system.rank),
             }
             for w in rows
         ]
@@ -154,8 +146,8 @@ def cmd_reflections(args, out):
     for w in rows:
         counts[w.length] = counts.get(w.length, 0) + 1
         out.write("%s  length=%d  palindrome=%s\n"
-                  % (_fmt(w.word, system.rank), w.length,
-                     _fmt(palindromic_word(system, w), system.rank)))
+                  % (format_word(w.word, system.rank), w.length,
+                     format_word(palindromic_word(system, w), system.rank)))
     census = " ".join("%d:%d" % (k, counts[k]) for k in sorted(counts))
     out.write("census by length: %s\n" % (census if census else "-"))
     return 0
@@ -169,16 +161,16 @@ def cmd_prefixes(args, out):
         pal = palindromic_word(system, w)
         if args.json:
             obj = {
-                "reflection": _fmt(w.word, system.rank),
-                "palindrome": _fmt(pal, system.rank),
-                "prefixes": [_fmt(p.element.word, system.rank) for p in prefs],
+                "reflection": format_word(w.word, system.rank),
+                "palindrome": format_word(pal, system.rank),
+                "prefixes": [format_word(p.element.word, system.rank) for p in prefs],
             }
             out.write(json.dumps(obj, indent=2) + "\n")
             return 0
         out.write("reflection %s, palindromic word %s\n"
-                  % (_fmt(w.word, system.rank), _fmt(pal, system.rank)))
+                  % (format_word(w.word, system.rank), format_word(pal, system.rank)))
         for p in prefs:
-            out.write("  prefix %s\n" % _fmt(p.element.word, system.rank))
+            out.write("  prefix %s\n" % format_word(p.element.word, system.rank))
         out.write("%d prefixes\n" % len(prefs))
         return 0
     try:
@@ -186,17 +178,17 @@ def cmd_prefixes(args, out):
     except ValueError as exc:
         raise DomainError(str(exc))
     if args.json:
-        obj = {"word": _fmt(w.word, system.rank), "is_prefix": pref is not None}
+        obj = {"word": format_word(w.word, system.rank), "is_prefix": pref is not None}
         if pref is not None:
-            obj["reflection"] = _fmt(pref.reflection.word, system.rank)
+            obj["reflection"] = format_word(pref.reflection.word, system.rank)
         out.write(json.dumps(obj, indent=2) + "\n")
         return 0
     if pref is None:
-        out.write("%s: not a reflection-prefix\n" % _fmt(w.word, system.rank))
+        out.write("%s: not a reflection-prefix\n" % format_word(w.word, system.rank))
     else:
         out.write("%s: reflection-prefix of %s\n"
-                  % (_fmt(w.word, system.rank),
-                     _fmt(pref.reflection.word, system.rank)))
+                  % (format_word(w.word, system.rank),
+                     format_word(pref.reflection.word, system.rank)))
     return 0
 
 
@@ -206,24 +198,20 @@ def cmd_dihedral(args, out):
     t = system.element(parse_word(args.word_t, system.rank))
     for w in (r, t):
         if is_reflection(w) is None:
-            raise DomainError("%s is not a reflection" % _fmt(w.word, system.rank))
+            raise DomainError("%s is not a reflection" % format_word(w.word, system.rank))
     sub = canonical_generators(system, r, t)
-    free = canonical_generators_repfree(system, r, t)
     c1, c2 = sub.canonical
-    f1, f2 = free.canonical
-    if (c1, c2) != (f1, f2) or sub.order_m != free.order_m:
-        raise ArithmeticError("the two canonical-generator paths disagree")
     if args.json:
         obj = {
-            "generators": [_fmt(r.word, system.rank), _fmt(t.word, system.rank)],
-            "canonical": [_fmt(c1.word, system.rank), _fmt(c2.word, system.rank)],
+            "generators": [format_word(w.word, system.rank) for w in (r, t)],
+            "canonical": [format_word(c.word, system.rank) for c in (c1, c2)],
             "order_m": sub.order_m,
         }
         out.write(json.dumps(obj, indent=2) + "\n")
         return 0
     m = sub.order_m if sub.order_m else "infinite-or-large"
     out.write("canonical generators: {%s, %s}, m = %s\n"
-              % (_fmt(c1.word, system.rank), _fmt(c2.word, system.rank), m))
+              % (format_word(c1.word, system.rank), format_word(c2.word, system.rank), m))
     return 0
 
 

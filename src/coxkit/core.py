@@ -300,6 +300,16 @@ def _cartan(b, norm):
     return c
 
 
+def _inversions(system, word):
+    """Inversions of the element of a reduced word, in word order."""
+    rows = system._id_rows
+    out = []
+    for s in word:
+        out.append(tuple(row[s] for row in rows))
+        rows = _right_mul_gen(system, rows, s)
+    return tuple(out)
+
+
 def _shortlex_word(system, rows, inv_rows):
     """Canonical word by repeatedly stripping the smallest left descent."""
     word = []
@@ -385,13 +395,7 @@ class GroupElement:
 
     def inversion_set(self):
         """Positive roots sent negative, as b_k = w_1..w_{k-1}(a_{w_k})."""
-        system = self.system
-        rows = system._id_rows
-        out = []
-        for s in self.word:
-            out.append(tuple(row[s] for row in rows))
-            rows = _right_mul_gen(system, rows, s)
-        return tuple(out)
+        return _inversions(self.system, self.word)
 
 
 class CoxeterSystem:
@@ -579,38 +583,3 @@ def is_reflection(w):
                 return None
             found = b
     return found
-
-
-def _simple_index(system, coords):
-    hit = None
-    for i, x in enumerate(coords):
-        if x != 0:
-            if hit is not None or x != system.one:
-                return None
-            hit = i
-    return hit
-
-
-def reflection_from_root(system, coords):
-    """The reflection through a positive root, as a group element.
-
-    Walks the root down to a simple one; each step lowers depth by 1,
-    so the word u t u^-1 built on the way is reduced.
-    """
-    if system.mode == "unitary" and system.norm_sq(coords) != system.one:
-        raise ValueError("roots have unit norm in this representation")
-    ups = []
-    g = tuple(coords)
-    for _ in range(10 ** 6):
-        t = _simple_index(system, g)
-        if t is not None:
-            word = ups + [t] + ups[::-1]
-            return system.element(word)
-        for s in range(system.rank):
-            if sign(system.pairing(g, s)) > 0:
-                ups.append(s)
-                g = system.reflect(g, s)
-                break
-        else:
-            raise ValueError("vector is not a positive root")
-    raise ValueError("vector is not a positive root")

@@ -11,10 +11,11 @@ on, so a walk may stop as soon as it climbs past its cap.
 
 import math
 
-from .core import reflection_from_root
+from .core import _inversions
 from .field import exact
-from .prefixes import _reflection_root, prefix_of_reflection
-from .roots import Root, root_profile
+from .prefixes import _reflection_root
+from .roots import Root, _descend, dominance_set, reflection_from_root, root_depth, \
+    root_profile
 
 
 class DihedralSubgroup:
@@ -66,7 +67,7 @@ def _reflect_in(system, v, root, norm):
 
 def _subgroup_roots(system, ar, at, cap):
     """Roots of the reflections in <s_ar, s_at> with depth <= cap,
-    mapped to their (depth, dominance depth) profile."""
+    mapped to their depth."""
     nr = system.norm_sq(ar)
     nt = system.norm_sq(at)
     found = {}
@@ -79,9 +80,9 @@ def _subgroup_roots(system, ar, at, cap):
             if pos in seen:
                 break
             seen.add(pos)
-            dp, dpinf, _ = root_profile(system, pos)
+            dp = root_depth(system, pos)
             if dp <= cap:
-                found[pos] = (dp, dpinf)
+                found[pos] = dp
             elif prev is not None and dp > prev:
                 break
             prev = dp
@@ -96,9 +97,9 @@ def subgroup_inversions(system, p, r, t):
     sub = _subgroup_roots(system, ar, at, max(p.length - 1, 0))
     out = []
     for a in p.inversion_set():
-        info = sub.get(a)
-        if info is not None:
-            out.append(Root(a, info[0], info[1], system.norm_sq(a), None))
+        if a in sub:
+            dp, dpinf, _ = root_profile(system, a)
+            out.append(Root(a, dp, dpinf, system.norm_sq(a), None))
     return out
 
 
@@ -127,25 +128,20 @@ def canonical_generators(system, r, t, bound=None):
         raise ValueError("the two reflections must be distinct")
     if bound is None:
         bound = default_order_bound(system)
-    dpr = root_profile(system, ar)[0]
-    dpt = root_profile(system, at)[0]
-    sub = _subgroup_roots(system, ar, at, max(dpr, dpt))
-    pr = prefix_of_reflection(system, r).element
-    pt = prefix_of_reflection(system, t).element
-    xr = [a for a in pr.inversion_set() if a in sub]
-    xt = [a for a in pt.inversion_set() if a in sub]
+    walks = [_descend(system, a) for a in (ar, at)]
+    sub = _subgroup_roots(system, ar, at, max(len(steps) for steps, _ in walks))
+    # the inversions of the prefix each descent spells that lie in <r, t>
+    xr, xt = ([a for a in _inversions(system, [s for s, _ in steps] + [last]) if a in sub]
+              for steps, last in walks)
     picked = xr if len(xr) > 1 else (xt if len(xt) > 1 else None)
     if picked is None:
-        a1, a2 = ar, at
+        pair = [(r, ar), (t, at)]
     else:
-        xs = sorted(picked, key=lambda a: (sub[a][0], a))
+        xs = sorted(picked, key=lambda a: (sub[a], a))
         a1 = xs[0]
         a2 = _positive(system, _reflect_in(system, xs[1], a1, system.norm_sq(a1)))
-    pair = sorted(
-        ((reflection_from_root(system, a), a) for a in (a1, a2)),
-        key=lambda ca: (ca[0].length, ca[0].word),
-    )
-    (c1, a1), (c2, a2) = pair
+        pair = [(reflection_from_root(system, a), a) for a in (a1, a2)]
+    (c1, a1), (c2, a2) = sorted(pair, key=lambda ca: (ca[0].length, ca[0].word))
     b = system.bilinear(a1, a2)
     if b * b >= system.norm_sq(a1) * system.norm_sq(a2):
         m = 0
@@ -236,15 +232,9 @@ def canonical_generators_repfree(system, r, t, bound=None):
     return DihedralSubgroup((r, t), (pair[0], pair[1]), None, m)
 
 
-def reflection_dominance_set(system, t, bound=None):
-    """Reflections dominated by t: t itself and every reflection u in
-    the left inversions of a prefix of t whose product with t never
-    reaches the identity within the bound."""
-    if bound is None:
-        bound = default_order_bound(system)
-    p = _repfree_prefix(system, t)
-    out = [t]
-    for u in _left_reflections(p):
-        if u != t and _product_order(u, t, bound) == 0:
-            out.append(u)
-    return out
+def reflection_dominance_set(system, t):
+    """Reflections dominated by t: t itself, then the reflections of the
+    other roots that the root of t dominates."""
+    root = _reflection_root(system, t)
+    return [t] + [reflection_from_root(system, a)
+                  for a in dominance_set(system, root) if a != root]

@@ -9,9 +9,9 @@ words of t are spelled by the saturated chains of the root poset that
 end at the root of t.
 """
 
-from .core import _simple_index, format_word, is_reflection
-from .field import sign
-from .roots import root_poset, root_profile
+from . import roots
+from .core import format_word, is_reflection
+from .roots import _descend, _simple_index, root_depth, root_poset
 
 
 class ReflectionPrefix:
@@ -76,23 +76,11 @@ def check_prefix_bilinear(system, w):
 
 
 def prefix_of_reflection(system, t):
-    """One prefix of t, found by walking its root down greedily."""
+    """One prefix of t, spelled by the greedy descent of its root."""
     root = _reflection_root(system, t)
-    ups = []
-    g = root
-    for _ in range(10 ** 6):
-        s = _simple_index(system, g)
-        if s is not None:
-            p = system.element(ups + [s])
-            return ReflectionPrefix(p, t, root, s)
-        for s in range(system.rank):
-            if sign(system.pairing(g, s)) > 0:
-                ups.append(s)
-                g = system.reflect(g, s)
-                break
-        else:
-            raise ValueError("vector is not a positive root")
-    raise ArithmeticError("descent from root did not reach a simple root")
+    steps, r = _descend(system, root)
+    p = system.element([s for s, _ in steps] + [r])
+    return ReflectionPrefix(p, t, root, r)
 
 
 def prefixes_of(system, t):
@@ -104,7 +92,7 @@ def prefixes_of(system, t):
     element, so the result is deduplicated.
     """
     root = _reflection_root(system, t)
-    dp, _, _ = root_profile(system, root)
+    dp = root_depth(system, root)
     poset = root_poset(system, max_depth=dp)
     out = {}
     stack = [(poset.index_of(root), [])]
@@ -131,20 +119,5 @@ def palindromic_word(system, t):
 
 
 def dominance_set(system, t):
-    """Roots dominated by the root b of t, b itself included.
-
-    Any single prefix p of t suffices: the dominated roots are the
-    inversions a of p with B(a, b)^2 >= |a|^2 |b|^2 and B(a, b) > 0.
-    """
-    pre = prefix_of_reflection(system, t)
-    b = pre.root
-    nb = system.norm_sq(b)
-    out = []
-    for a in pre.element.inversion_set():
-        if a == b:
-            out.append(a)
-            continue
-        v = system.bilinear(a, b)
-        if v > 0 and v * v >= system.norm_sq(a) * nb:
-            out.append(a)
-    return out
+    """Roots dominated by the root b of t, b itself included."""
+    return roots.dominance_set(system, _reflection_root(system, t))

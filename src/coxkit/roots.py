@@ -10,11 +10,15 @@ coordinate: s(b) = b - c a_s.  A cover is long when
 B(b, a_s)^2 >= |b|^2 |a_s|^2, that is when |a_s|^2 c^2 >= 4|b|^2;
 dp_inf counts the long covers along any path up from a simple root (the
 count is path independent), and a root is m-small when dp_inf <= m.
+
+One greedy descent of a root to a simple root (`_descend`) gives its
+depth, dp_inf, the reflection through it, a prefix of that reflection
+and the roots it dominates.
 """
 
 from __future__ import annotations
 
-from .core import LimitExceeded, _simple_index
+from .core import LimitExceeded, _inversions
 from .field import AlgebraicNumber, exact, sign
 
 
@@ -42,10 +46,6 @@ def _entry_digit(x):
     x = exact(x)
     if type(x) is not int or not 0 <= x <= 9:
         return None
-    return str(x)
-
-
-def _entry_str(x):
     return str(x)
 
 
@@ -85,7 +85,7 @@ class RootPoset:
         digits = [_entry_digit(x) for x in coords]
         if all(d is not None for d in digits):
             return "".join(digits)
-        return "(" + ", ".join(_entry_str(x) for x in coords) + ")"
+        return "(" + ", ".join(str(x) for x in coords) + ")"
 
     def labels(self):
         return [self.label(i) for i in range(len(self.roots))]
@@ -165,6 +165,59 @@ def m_small_roots(system, m):
     return root_poset(system, msmall=m)
 
 
+def _simple_index(system, coords):
+    hit = None
+    for i, x in enumerate(coords):
+        if x != 0:
+            if hit is not None or x != system.one:
+                return None
+            hit = i
+    return hit
+
+
+# Depth is finite for every root; the cap only stops a non-root whose
+# coordinates shrink toward zero without turning negative.
+_MAX_DESCENT = 1_000_000
+
+
+def _descend(system, coords):
+    """The greedy descent of a positive root to a simple root.
+
+    Each step takes the first letter s with B(g, a_s) > 0, which lowers
+    the depth of the current root g by exactly 1.  Returns the steps as
+    (letter, pairing) pairs, c = 2B(g, a_s)/|a_s|^2 taken before the
+    step, and the final simple letter r; the letters followed by r spell
+    a prefix of the reflection of the root.  A step from a positive
+    non-simple root gives a positive root, so a coordinate that turns
+    negative proves the input was not one.
+    """
+    g = tuple(coords)
+    steps = []
+    for _ in range(_MAX_DESCENT):
+        r = _simple_index(system, g)
+        if r is not None:
+            return steps, r
+        for s in range(system.rank):
+            c = system.pairing(g, s)
+            if sign(c) > 0:
+                break
+        else:
+            break
+        x = g[s] - c
+        if sign(x) < 0:
+            break
+        steps.append((s, c))
+        g = g[:s] + (x,) + g[s + 1:]
+    raise ValueError("vector is not a positive root")
+
+
+def _long_steps(system, steps, norm):
+    """Which steps of a descent of a root of norm |b|^2 are long covers:
+    B(g, a_s)^2 >= |g|^2 |a_s|^2, that is |a_s|^2 c^2 >= 4|b|^2."""
+    norms = system.norms
+    return [c * c * norms[s] >= 4 * norm for s, c in steps]
+
+
 def root_profile(system, coords):
     """(depth, dp_inf, letters) of a positive root, by greedy descent.
 
@@ -172,33 +225,30 @@ def root_profile(system, coords):
     long-step count is the same along every descent, so one walk gives
     both gradings.
     """
-    g = tuple(coords)
-    norm = system.norm_sq(g)
-    letters = []
-    longs = 0
-    for _ in range(10 ** 6):
-        t = _simple_index(system, g)
-        if t is not None:
-            return len(letters), longs, letters
-        for s in range(system.rank):
-            c = system.pairing(g, s)
-            if sign(c) > 0:
-                if c * c * system.norms[s] >= 4 * norm:
-                    longs += 1
-                letters.append(s)
-                g = system.reflect(g, s)
-                break
-        else:
-            raise ValueError("vector is not a positive root")
-    raise ValueError("vector is not a positive root")
+    steps, _ = _descend(system, coords)
+    longs = sum(_long_steps(system, steps, system.norm_sq(coords)))
+    return len(steps), longs, [s for s, _ in steps]
 
 
 def root_depth(system, coords):
-    return root_profile(system, coords)[0]
+    return len(_descend(system, coords)[0])
 
 
 def root_dpinf(system, coords):
     return root_profile(system, coords)[1]
+
+
+def reflection_from_root(system, coords):
+    """The reflection through a positive root, as a group element.
+
+    Walks the root down to a simple one; each step lowers depth by 1,
+    so the word u t u^-1 built on the way is reduced.
+    """
+    if system.mode == "unitary" and system.norm_sq(coords) != system.one:
+        raise ValueError("roots have unit norm in this representation")
+    steps, t = _descend(system, coords)
+    ups = [s for s, _ in steps]
+    return system.element(ups + [t] + ups[::-1])
 
 
 def dominates(system, beta, alpha):
@@ -218,17 +268,17 @@ def dominates(system, beta, alpha):
 
 
 def dominance_set(system, beta):
-    """All roots dominated by beta, as Root records (beta included)."""
-    dp = root_depth(system, beta)
-    poset = root_poset(system, max_depth=dp)
-    nb = system.norm_sq(beta)
+    """The roots dominated by beta, as coordinate tuples, beta last.
+
+    They are the inversions a of any prefix of the reflection of beta
+    with B(a, beta) > 0 and B(a, beta)^2 >= |a|^2 |beta|^2.  For the
+    prefix the descent spells, the inversion a_j = s_1 .. s_{j-1}(a_{s_j})
+    has B(a_j, beta) = B(a_{s_j}, g_j) with g_j the root before step j,
+    so the test holds exactly at the long steps and at beta, the last
+    inversion: dp_inf + 1 roots.
+    """
     beta = tuple(beta)
-    out = []
-    for r in poset.roots:
-        if r.coords == beta:
-            out.append(r)
-            continue
-        b = system.bilinear(r.coords, beta)
-        if b > 0 and b * b >= r.norm_sq * nb:
-            out.append(r)
-    return out
+    steps, r = _descend(system, beta)
+    inv = _inversions(system, [s for s, _ in steps] + [r])
+    longs = _long_steps(system, steps, system.norm_sq(beta))
+    return [a for a, is_long in zip(inv, longs) if is_long] + [beta]

@@ -102,17 +102,34 @@ def test_infinite_order_flagged_zero():
     assert hit_zero > 0
 
 
+def _paths_agree(sysm, r, t):
+    a = ck.canonical_generators(sysm, r, t)
+    b = ck.canonical_generators_repfree(sysm, r, t)
+    assert a.canonical == b.canonical, (r.word, t.word)
+    assert a.order_m == b.order_m
+
+
 def test_representation_free_path_agrees():
     for name in ("A3", "~A2"):
         sysm = system(name)
         rng = random.Random(7)
         refs = reflections_in_ball(sysm, 7)
         for _ in range(20):
-            r, t = rng.sample(refs, 2)
-            a = ck.canonical_generators(sysm, r, t)
-            b = ck.canonical_generators_repfree(sysm, r, t)
-            assert set(a.canonical) == set(b.canonical), (name, r.word, t.word)
-            assert a.order_m == b.order_m
+            _paths_agree(sysm, *rng.sample(refs, 2))
+    # deeper pairs, finite, affine and hyperbolic
+    for name, r, t in (
+        ("H3", "12132123121", "321323123"),
+        ("B4", "212343212", "1243421"),
+        ("F4", "3213243423123", "34231213243"),
+        ("D5", "31253435213", "543212345"),
+        ("~A3", "4321234321234", "42124342124"),
+        ("~G2", "123121323121321", "2312312132132"),
+        ("~B3", "32312421323", "214232412"),
+        ("~C3", "21412321412", "314121413"),
+        ("U3", "13213131231", "121313121"),
+    ):
+        sysm = system(name)
+        _paths_agree(sysm, sysm.element(r), sysm.element(t))
 
 
 def test_subgroup_inversions_are_inversions():
@@ -133,6 +150,18 @@ def test_reflection_dominance_set_contains_self():
         assert out[0] == t
         for u in out:
             assert ck.is_reflection(u) is not None
+
+
+def test_reflection_dominance_set_follows_root_dominance():
+    """t first, then the reflections of the other roots t's root dominates."""
+    for matrix in (ck.preset("~A2"), ck.CoxeterMatrix([[1, 3, 3], [3, 1, 4], [3, 4, 1]])):
+        sysm = ck.CoxeterSystem(matrix=matrix)
+        for t in reflections_in_ball(sysm, 7):
+            out = ck.reflection_dominance_set(sysm, t)
+            roots = ck.dominance_set(sysm, t)
+            assert out[0] == t
+            assert len(out) == len(roots)
+            assert {ck.is_reflection(u) for u in out} == set(roots)
 
 
 def test_default_order_bound_covers_bonds():

@@ -1,5 +1,7 @@
 """Root enumeration, gradings, and dominance."""
 
+import time
+
 import pytest
 
 import coxkit as ck
@@ -77,6 +79,11 @@ def test_profile_rejects_non_roots():
         ck.root_profile(sysm, (0, 0))
     with pytest.raises(ValueError):
         ck.root_profile(sysm, (1, -1))
+    # the descent leaves the positive cone at once instead of running on
+    start = time.perf_counter()
+    with pytest.raises(ValueError):
+        ck.root_profile(system("I2(inf)"), (1, -1))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_small_roots_finite_for_affine():
@@ -127,6 +134,16 @@ def test_dpinf_counts_dominated_roots():
     poset = ck.root_poset(sysm, max_depth=4)
     for r in poset.roots:
         assert r.dpinf == len(root_dominance_set(sysm, r.coords)) - 1
+    # the rational hyperbolic U3 and an irrational hyperbolic form (bonds 4, 5, inf)
+    for matrix, depth in ((ck.preset("U3"), 5),
+                          (ck.CoxeterMatrix([[1, 4, 5], [4, 1, 0], [5, 0, 1]]), 4)):
+        sysm = ck.CoxeterSystem(matrix=matrix)
+        for r in ck.root_poset(sysm, max_depth=depth).roots:
+            out = root_dominance_set(sysm, r.coords)
+            assert r.dpinf == len(out) - 1
+            assert len(set(out)) == len(out)
+            for a in out:
+                assert ck.dominates(sysm, r.coords, a)
 
 
 def test_limit_guard():
