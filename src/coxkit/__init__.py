@@ -33,6 +33,7 @@ from .prefixes import (
     palindromic_word,
     prefix_of_reflection,
     prefixes_of,
+    reflections_up_to,
 )
 from .dihedral import (
     DihedralSubgroup,

@@ -5,8 +5,9 @@ censuses, reflection-prefixes, dihedral reflection subgroups, and the
 affine closed forms.  Output is deterministic; --json switches every
 subcommand to a machine-readable report.
 
-Exit codes: 0 on success, 2 for bad input, 3 when a resource cap is
-hit, 4 for domain errors such as a word that is not a reflection.
+Exit codes: 0 on success, 1 for an internal error, 2 for bad input, 3
+when a resource cap is hit, 4 for domain errors such as a word that is
+not a reflection.
 """
 
 import argparse
@@ -17,10 +18,11 @@ import sys
 from .affine import affine_datum, affine_to_obj, depth_polynomial, depth_series, \
     orbit_series, reflection_series
 from .automata import build_automaton, dfa_to_dot, dfa_to_obj
-from .core import CoxeterSystem, LimitExceeded, cayley_bfs, \
-    coxeter_matrix_from_descriptor, format_word, is_reflection, parse_word
+from .core import CoxeterSystem, LimitExceeded, coxeter_matrix_from_descriptor, \
+    format_word, is_reflection, parse_word
 from .dihedral import canonical_generators
-from .prefixes import is_reflection_prefix, palindromic_word, prefixes_of
+from .prefixes import is_reflection_prefix, palindromic_word, prefixes_of, \
+    reflections_up_to
 from .roots import root_poset
 from .series import dfa_series
 
@@ -125,29 +127,24 @@ def cmd_automaton(args, out):
 
 def cmd_reflections(args, out):
     system = _system(args.spec)
-    ball = cayley_bfs(system, max_length=args.max_length, limit=args.max_elements)
-    rows = []
-    for w in ball:
-        if is_reflection(w) is not None:
-            rows.append(w)
-    rows.sort(key=lambda w: (w.length, w.word))
+    rows = reflections_up_to(system, args.max_length, limit=args.max_roots)
     if args.json:
         obj = [
             {
-                "word": format_word(w.word, system.rank),
-                "length": w.length,
-                "palindrome": format_word(palindromic_word(system, w), system.rank),
+                "word": format_word(t.word, system.rank),
+                "length": t.length,
+                "palindrome": format_word(pal, system.rank),
             }
-            for w in rows
+            for t, pal in rows
         ]
         out.write(json.dumps(obj, indent=2) + "\n")
         return 0
     counts = {}
-    for w in rows:
-        counts[w.length] = counts.get(w.length, 0) + 1
+    for t, pal in rows:
+        counts[t.length] = counts.get(t.length, 0) + 1
         out.write("%s  length=%d  palindrome=%s\n"
-                  % (format_word(w.word, system.rank), w.length,
-                     format_word(palindromic_word(system, w), system.rank)))
+                  % (format_word(t.word, system.rank), t.length,
+                     format_word(pal, system.rank)))
     census = " ".join("%d:%d" % (k, counts[k]) for k in sorted(counts))
     out.write("census by length: %s\n" % (census if census else "-"))
     return 0
@@ -331,6 +328,9 @@ def main(argv=None):
     except ValueError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
+    except ArithmeticError as exc:
+        sys.stderr.write("error: internal error: %s\n" % exc)
+        return 1
 
 
 if __name__ == "__main__":

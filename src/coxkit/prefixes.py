@@ -112,10 +112,48 @@ def prefixes_of(system, t):
     return sorted(out.values(), key=lambda pre: pre.element.word)
 
 
+def _palindrome(system, ups, r):
+    """The palindromic reduced word of the reflection whose root descends
+    by the letters ups to the simple root r: the normal form p of the
+    prefix ups + [r], followed by p without r, reversed."""
+    w = system.element(ups + [r]).word
+    return w + w[:-1][::-1]
+
+
 def palindromic_word(system, t):
     """A reduced word for the reflection t of the shape u r reverse(u)."""
-    w = prefix_of_reflection(system, t).element.word
-    return w + w[:-1][::-1]
+    steps, r = _descend(system, _reflection_root(system, t))
+    return _palindrome(system, [s for s, _ in steps], r)
+
+
+def reflections_up_to(system, max_length, limit=None):
+    """(t, palindromic word of t) for every reflection t with
+    l(t) <= max_length, sorted by (length, word).
+
+    The reflections are the positive roots, and the reflection through a
+    root of depth k has length 2k + 1, so the roots of depth at most
+    (max_length - 1) // 2 give them all; limit caps that enumeration.
+    The greedy descent of each root is read off the poset: its first
+    letter is the least letter of a lower cover, and the rest is the
+    descent of that cover, found earlier in breadth-first order.
+    """
+    if max_length < 1:
+        return []
+    poset = root_poset(system, max_depth=(max_length - 1) // 2, limit=limit)
+    descents = []
+    out = []
+    for i, downs in enumerate(poset.down):
+        if downs:
+            s, lo, _ = min(downs)
+            ups, r = descents[lo]
+            ups = [s] + ups
+        else:
+            ups, r = [], i
+        descents.append((ups, r))
+        t = system.element(ups + [r] + ups[::-1])
+        out.append((t, _palindrome(system, ups, r)))
+    out.sort(key=lambda pair: (pair[0].length, pair[0].word))
+    return out
 
 
 def dominance_set(system, t):

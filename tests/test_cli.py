@@ -164,7 +164,7 @@ def test_dihedral_infinite_pair_in_all_infinite_group(capsys):
 
 
 def test_reflections_of_e6(capsys):
-    # all 51,840 elements of E6; its 36 positive roots give 36 reflections
+    # E6's 36 positive roots, of depth at most 10, give its 36 reflections
     start = time.perf_counter()
     code, out, _ = run(capsys, "reflections", "E6", "--max-length", "37")
     elapsed = time.perf_counter() - start
@@ -174,6 +174,62 @@ def test_reflections_of_e6(capsys):
     assert lines[-1] == ("census by length: 1:6 3:5 5:5 7:5 9:4 11:3 13:3 "
                          "15:2 17:1 19:1 21:1")
     assert elapsed < 12.0
+
+
+# Kostant: in a simply laced finite group the roots of height h, which
+# are the reflections of length 2h - 1, number the exponents >= h
+EXPONENTS = {
+    "E6": (1, 4, 5, 7, 8, 11),
+    "E7": (1, 5, 7, 9, 11, 13, 17),
+    "E8": (1, 7, 11, 13, 17, 19, 23, 29),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPONENTS))
+def test_reflection_census_follows_exponents(capsys, name):
+    exps = EXPONENTS[name]
+    top = 2 * max(exps) - 1
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "reflections", name, "--max-length", str(top))
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    lines = out.splitlines()
+    census = " ".join("%d:%d" % (2 * h - 1, sum(e >= h for e in exps))
+                      for h in range(1, max(exps) + 1))
+    assert lines[-1] == "census by length: " + census
+    assert len(lines) - 1 == sum(exps)
+    assert elapsed < 10.0
+
+
+def test_reflections_bounded_by_max_roots(capsys):
+    code, out, err = run(capsys, "reflections", "U3", "--max-length", "41",
+                         "--max-roots", "1000")
+    assert code == 3
+    assert out == ""
+    assert err == "error: root enumeration exceeded 1000\n"
+
+
+def test_reflections_do_not_enumerate_the_ball(capsys):
+    # the radius-41 ball of ~A5 is far past --max-elements; its 126
+    # reflections of length <= 41 are 126 roots of depth <= 20
+    code, out, _ = run(capsys, "reflections", "~A5", "--max-length", "41")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 127
+    assert lines[-1] == "census by length: " + " ".join(
+        "%d:6" % k for k in range(1, 42, 2))
+
+
+def test_internal_error_exit_1(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ArithmeticError("depth or dp_inf is path dependent")
+
+    monkeypatch.setattr("coxkit.cli.root_poset", broken)
+    code, out, err = run(capsys, "roots", "A2", "--max-depth", "2")
+    assert code == 1
+    assert out == ""
+    assert err == "error: internal error: depth or dp_inf is path dependent\n"
+    assert "Traceback" not in out + err
 
 
 @pytest.mark.parametrize("argv", [

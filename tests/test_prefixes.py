@@ -1,15 +1,17 @@
 """Reflection prefixes and their palindromic closures."""
 
+import json
 import random
 
 import pytest
 
 import coxkit as ck
-from oracles import reduced_word_trie, is_prefix_brute
+from coxkit.cli import main
+from oracles import reduced_word_trie, is_prefix_brute, reflection_census
 
 
 def system(name):
-    return ck.CoxeterSystem(matrix=ck.preset(name))
+    return ck.CoxeterSystem(matrix=ck.coxeter_matrix_from_descriptor(name))
 
 
 def test_identity_has_no_closure():
@@ -108,3 +110,45 @@ def test_dominance_set_of_reflection():
         assert len(set(out)) == len(out)
         for a in out:
             assert ck.dominates(sysm, root, a)
+
+
+def _ball_reflections(sysm, max_length):
+    """Every reflection of length <= max_length with its palindromic word,
+    found by testing each element of the Cayley ball."""
+    rows = [(w, ck.palindromic_word(sysm, w))
+            for w in ck.cayley_bfs(sysm, max_length=max_length)
+            if ck.is_reflection(w) is not None]
+    rows.sort(key=lambda pair: (pair[0].length, pair[0].word))
+    return rows
+
+
+@pytest.mark.parametrize("name, max_length", [
+    ("A3", 0), ("A3", 1), ("A3", 7), ("B4", 2), ("B4", 9), ("H3", 15),
+    ("F4", 11), ("I2(7)", 6), ("I2(7)", 7), ("I2(inf)", 9), ("~A2", 10),
+    ("~G2", 12), ("~B3", 9), ("U3", 8), ("[[1,4,5],[4,1,0],[5,0,1]]", 9),
+])
+def test_reflections_from_roots_match_the_ball(capsys, name, max_length):
+    sysm = system(name)
+    want = _ball_reflections(sysm, max_length)
+    got = ck.reflections_up_to(sysm, max_length)
+    assert [(t.word, pal) for t, pal in got] == [(w.word, pal) for w, pal in want]
+
+    counts = [0] * (max_length + 1)
+    for t, _ in got:
+        counts[t.length] += 1
+    assert counts == reflection_census(sysm, max_length, ck.cayley_bfs)
+
+    def fmt(word):
+        return ck.format_word(word, sysm.rank)
+
+    argv = ["reflections", name, "--max-length", str(max_length)]
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    census = " ".join("%d:%d" % (k, c) for k, c in enumerate(counts) if c)
+    assert text == "".join(
+        "%s  length=%d  palindrome=%s\n" % (fmt(w.word), w.length, fmt(pal))
+        for w, pal in want) + "census by length: %s\n" % (census or "-")
+    assert main(argv + ["--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == [
+        {"word": fmt(w.word), "length": w.length, "palindrome": fmt(pal)}
+        for w, pal in want]
