@@ -128,7 +128,7 @@ def affine_datum(name):
     for i in range(n):
         for j in range(n):
             ext[i][j] = gram[i][j]
-    w2 = finite.bilinear(omega, omega)
+    w2 = finite_poset.roots[finite_poset.index[omega]].norm_sq
     basis = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     for i in range(n):
         b = finite.bilinear(basis[i], omega)
@@ -141,14 +141,14 @@ def affine_datum(name):
 def _highest_root(finite, poset):
     """The coefficientwise maximum of the positive roots."""
     best = max(poset.roots, key=lambda r: sum(r.coords))
-    w2 = finite.norm_sq(best.coords)
+    w2 = best.norm_sq
     for r in poset.roots:
         if any(c > b for c, b in zip(r.coords, best.coords)):
             raise ArithmeticError("no coefficientwise-largest root")
-        if finite.norm_sq(r.coords) > w2:
+        if r.norm_sq > w2:
             raise ArithmeticError("a root is longer than the highest root")
         num = 2 * finite.bilinear(r.coords, best.coords)
-        if num < 0 or num / w2 not in (0, 1, 2):
+        if num not in (0, w2, 2 * w2):
             raise ArithmeticError("highest-root pairing out of range")
     return tuple(best.coords)
 
@@ -187,7 +187,7 @@ def _orbit_split(finite, poset, omega):
         if iw not in orbits[0]:
             orbits.reverse()
     for orbit in orbits:
-        norms = {finite.norm_sq(poset.roots[i].coords) for i in orbit}
+        norms = {poset.roots[i].norm_sq for i in orbit}
         if len(norms) != 1:
             raise ArithmeticError("root norm is not constant on an orbit")
     return [sorted(o) for o in orbits]

@@ -40,7 +40,8 @@ class Dfa:
 
     def state_label(self, i):
         key, _ = self.states[i]
-        return "{%s}" % ",".join(self.poset.label(j) for j in key)
+        labels = self.poset.labels()
+        return "{%s}" % ",".join(labels[j] for j in key)
 
 
 def build_automaton(system, m, kind="red", limit=None):
@@ -185,6 +186,7 @@ def dfa_to_dot(dfa):
 
 def dfa_to_obj(dfa):
     """Plain dictionary form, letters 1-based, sets as root labels."""
+    labels = dfa.poset.labels()
     return {
         "kind": dfa.kind,
         "m": dfa.m,
@@ -192,7 +194,7 @@ def dfa_to_obj(dfa):
         "set_states": dfa.set_count,
         "states": [
             {
-                "set": [dfa.poset.label(j) for j in key],
+                "set": [labels[j] for j in key],
                 "final": i in dfa.finals,
             }
             for i, (key, _) in enumerate(dfa.states)

@@ -65,13 +65,14 @@ def cmd_roots(args, out):
     poset = root_poset(system, max_depth=args.max_depth, limit=args.max_roots)
     if args.dot:
         _write_file(args.dot, poset.to_dot())
+    labels = poset.labels()
     if args.json:
         obj = {
             "rank": system.rank,
             "max_depth": args.max_depth,
             "roots": [
                 {
-                    "label": poset.label(i),
+                    "label": labels[i],
                     "coords": [str(c) for c in r.coords],
                     "depth": r.depth,
                     "dp_inf": r.dpinf,
@@ -79,7 +80,7 @@ def cmd_roots(args, out):
                 for i, r in enumerate(poset.roots)
             ],
             "covers": [
-                [poset.label(lo), poset.label(hi), s + 1, bool(longe)]
+                [labels[lo], labels[hi], s + 1, bool(longe)]
                 for lo, hi, s, longe in poset.edges
             ],
         }
@@ -92,10 +93,10 @@ def cmd_roots(args, out):
         out.write("depth %d:\n" % d)
         for i in by_depth[d]:
             r = poset.roots[i]
-            line = "  %s  dp_inf=%d" % (poset.label(i), r.dpinf)
+            line = "  %s  dp_inf=%d" % (labels[i], r.dpinf)
             if args.poset:
                 ups = [
-                    "%d:%s%s" % (s + 1, poset.label(j), "(long)" if longe else "")
+                    "%d:%s%s" % (s + 1, labels[j], "(long)" if longe else "")
                     for s, j, longe in poset.up[i]
                 ]
                 line += "  covers: " + (", ".join(ups) if ups else "-")
@@ -234,8 +235,6 @@ def cmd_affine(args, out):
 
 def _add_common(sub):
     sub.add_argument("--json", action="store_true", help="JSON output")
-    sub.add_argument("--max-elements", type=_count, default=200000,
-                     help="cap on enumerated group elements and automaton states")
     sub.add_argument("--max-roots", type=_count, default=100000,
                      help="cap on enumerated roots")
 
@@ -264,6 +263,8 @@ def build_parser():
     p.add_argument("--series", action="store_true",
                    help="exact generating series of the language")
     p.add_argument("--terms", type=_count, default=12)
+    p.add_argument("--max-elements", type=_count, default=200000,
+                   help="cap on automaton states")
     _add_common(p)
     p.set_defaults(func=cmd_automaton)
 

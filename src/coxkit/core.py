@@ -14,8 +14,12 @@ Every Cartan coefficient 2B(a_s, a_t)/B(a_s, a_s) of the unitary form is
 crystallographic forms.  Root coordinates and element matrices are
 therefore built from the simple roots by integer combinations alone and
 lie in Z[theta]: plain ints when the field is Q, and AlgebraicNumbers
-with int coefficients otherwise.  Only the Gram matrix, which is never
-multiplied into a root, keeps Fractions.
+with int coefficients otherwise.  The bilinear form is read off the
+same Cartan columns, B(x, a_s) = |a_s|^2 pairing(x, s) / 2, with the
+norms |a_s|^2 held as ints or Fractions wherever they are rational, so
+B(x, y) of two roots is one Z[theta] sum halved once.  The Gram matrix
+is kept to validate a custom form and to derive the Cartan
+coefficients; nothing multiplies it into a root.
 """
 
 from __future__ import annotations
@@ -289,15 +293,23 @@ def _rational_dot(row, coords):
     return sum(map(mul, row, coords))
 
 
-def _cartan(b, norm):
-    """2b/norm exactly: an int where integral, a Fraction for a form that
-    is not integral, an AlgebraicNumber only where irrational.  b and
-    norm are Gram entries, Fractions or AlgebraicNumbers, so this never
-    divides two ints."""
-    c = exact(2 * b / norm)
-    if isinstance(c, AlgebraicNumber) and c.is_rational():
-        return c.rational()
-    return c
+def _plain(x):
+    """x as an int or a Fraction where rational, an AlgebraicNumber only
+    where irrational."""
+    x = exact(x)
+    if isinstance(x, AlgebraicNumber) and x.is_rational():
+        return x.rational()
+    return x
+
+
+def _half(x):
+    """x/2 exactly for an int, a Fraction or an AlgebraicNumber, with
+    every integral coefficient kept an int."""
+    if type(x) is int:
+        return Fraction(x, 2) if x & 1 else x >> 1
+    if isinstance(x, AlgebraicNumber):
+        return AlgebraicNumber(x.field, tuple(_half(c) for c in x.coeffs))
+    return exact(x / 2)
 
 
 def _inversions(system, word):
@@ -459,14 +471,16 @@ class CoxeterSystem:
         self.field = field
         self.gram = tuple(tuple(row) for row in g)
         self.norms = tuple(self.gram[i][i] for i in range(n))
+        self._norm_q = tuple(_plain(x) for x in self.norms)  # rational where possible
         # coordinates are ints over Q, int-coefficient AlgebraicNumbers otherwise
         if isinstance(self.gram[0][0], AlgebraicNumber):
             self.one, self.zero, self._dot = field.one, field.zero, field.dot
         else:
             self.one, self.zero, self._dot = 1, 0, _rational_dot
-        # the nonzero Cartan coefficients c_sj = 2B(a_s, a_j)/B(a_s, a_s), j != s
+        # the nonzero Cartan coefficients c_sj = 2B(a_s, a_j)/B(a_s, a_s), j != s;
+        # a rational norm divides as a Fraction, with no field inverse
         self._neighbors = tuple(
-            tuple((j, _cartan(self.gram[s][j], self.norms[s]))
+            tuple((j, _plain(self.gram[s][j] * (Fraction(2) / self._norm_q[s])))
                   for j in range(n) if j != s and self.gram[s][j] != 0)
             for s in range(n)
         )
@@ -483,12 +497,19 @@ class CoxeterSystem:
         return tuple(self.one if i == s else self.zero for i in range(self.rank))
 
     def bilinear(self, x, y):
-        total = self.zero
-        for i, xi in enumerate(x):
-            if xi != 0:
-                row = self.gram[i]
-                total = total + xi * sum(row[j] * yj for j, yj in enumerate(y))
-        return total
+        """B(x, y) = sum_s y_s |a_s|^2 pairing(x, s) / 2, halved once.
+
+        The pairings are integer combinations of the coordinates of x, so
+        for two roots the sum stays in Z[theta] until the halving.
+        """
+        ys, terms = [], []
+        for s, v in enumerate(y):
+            if v:
+                p = self.pairing(x, s)
+                norm = self._norm_q[s]
+                ys.append(v)
+                terms.append(p if norm == 1 else norm * p)
+        return _half(self._dot(ys, terms))
 
     def norm_sq(self, coords):
         return self.bilinear(coords, coords)

@@ -10,6 +10,7 @@ on, so a walk may stop as soon as it climbs past its cap.
 """
 
 import math
+from fractions import Fraction
 
 from .core import _inversions
 from .field import exact
@@ -60,8 +61,9 @@ def _positive(system, v):
 
 
 def _reflect_in(system, v, root, norm):
-    # 2B(v, root)/|root|^2 is integral for roots, so v stays in Z[theta]
-    c = exact((system.bilinear(v, root) + system.bilinear(v, root)) / norm)
+    # 2B(v, root)/|root|^2 is integral for roots, so v stays in Z[theta];
+    # Fraction(2) keeps an int norm from giving a float quotient
+    c = exact(system.bilinear(v, root) * (Fraction(2) / norm))
     return tuple(x - c * y for x, y in zip(v, root))
 
 

@@ -13,7 +13,9 @@ element matrices lie in the ring Z[theta] (every Cartan coefficient
 -2cos(pi/m) is an algebraic integer), so their arithmetic never leaves
 int.  The sign of an element is decided without floating point, by
 integer interval arithmetic against a dyadic isolating interval for
-theta that is refined by bisection as needed.
+theta that is refined by bisection as needed.  That interval is found
+by Sturm bisection in ints as well: each member of the Sturm chain is
+scaled to a primitive int polynomial and evaluated at dyadic points.
 """
 
 from __future__ import annotations
@@ -71,13 +73,6 @@ def _poly_mul_into(prod, a, b):
             for j, bj in enumerate(b):
                 if bj:
                     prod[i + j] += ai * bj
-
-
-def _poly_eval(c, x):
-    acc = Fraction(0)
-    for coeff in reversed(c):
-        acc = acc * x + coeff
-    return acc
 
 
 def _poly_deriv(c):
@@ -158,26 +153,37 @@ def _minpoly_from_cyclotomic(L):
     return _poly_trim(psi)
 
 
-def _sign_at(poly, x):
-    v = _poly_eval(poly, x)
-    return (v > 0) - (v < 0)
+def _primitive(poly):
+    """The positive multiple of a rational polynomial whose coefficients
+    are coprime ints; it has the sign of poly at every point."""
+    den = lcm(*(c.denominator for c in poly))
+    ints = [int(c * den) for c in poly]
+    g = gcd(*ints)
+    return [c // g for c in ints]
 
 
 def _sturm_chain(poly):
-    chain = [list(poly), _poly_deriv(poly)]
-    while _poly_trim(chain[-1]):
+    """Sturm sequence of a squarefree polynomial of degree >= 1.
+
+    Each member is scaled to a primitive int polynomial.  A positive
+    scale changes only the quotients of the later divisions, so every
+    member stays a positive multiple of the classical one and the sign
+    variations at each point are the same.
+    """
+    chain = [_primitive(poly), _primitive(_poly_deriv(poly))]
+    while True:
         _, r = _poly_divmod(chain[-2], chain[-1])
         if not r:
-            break
-        chain.append([-c for c in r])
-    return [c for c in chain if _poly_trim(c)]
+            return chain
+        chain.append(_primitive([-c for c in r]))
 
 
-def _sturm_count(chain, a, b):
-    """Number of distinct real roots in (a, b], a < b, neither a root of chain[0]."""
+def _sturm_count(chain, a, b, k):
+    """Number of distinct real roots in (a/2^k, b/2^k], a < b, neither a
+    root of chain[0]."""
 
     def variations(x):
-        signs = [s for s in (_sign_at(p, x) for p in chain) if s != 0]
+        signs = [s for s in (_dyadic_sign(p, x, k) for p in chain) if s]
         return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
 
     return variations(a) - variations(b)
@@ -201,7 +207,11 @@ def _dyadic_eval(poly, lo, hi, k):
 
 
 def _dyadic_sign(poly, x, k):
-    v = _dyadic_eval(poly, x, x, k)[0]
+    """Sign of an int polynomial at x/2^k: Horner on 2^(k*deg) * poly."""
+    d = len(poly) - 1
+    v = poly[-1]
+    for i in range(d - 1, -1, -1):
+        v = v * x + (poly[i] << (k * (d - i)))
     return (v > 0) - (v < 0)
 
 
@@ -222,19 +232,14 @@ class CyclotomicField:
             t = self.theta_rational
             self.minpoly = (-t, 1)
             self.degree = 1
-            lo, hi = Fraction(t - 1), Fraction(t + 1)
+            self._theta = (t - 1, t + 1, 0)
         else:
             mp = _minpoly_from_cyclotomic(L)
             if mp[-1] != 1:
                 raise ArithmeticError("minimal polynomial not monic")
             self.minpoly = tuple(mp)
             self.degree = len(mp) - 1
-            lo, hi = self._isolate_largest_root()
-        k = max(lo.denominator, hi.denominator).bit_length() - 1
-        lo, hi = lo * 2 ** k, hi * 2 ** k
-        if lo.denominator != 1 or hi.denominator != 1:
-            raise ArithmeticError("isolating interval is not dyadic")
-        self._theta = (lo.numerator, hi.numerator, k)
+            self._theta = self._isolate_largest_root()
         self._reduction = self._reduction_table()
         self.zero = AlgebraicNumber(self, (0,) * self.degree)
         self.one = self.from_rational(1)
@@ -256,25 +261,32 @@ class CyclotomicField:
         return Fraction(hi, 2 ** k)
 
     def _isolate_largest_root(self):
-        """Rational interval around 2cos(pi/L), the largest root of minpoly.
+        """Dyadic interval (lo, hi, k), that is [lo/2^k, hi/2^k], around
+        2cos(pi/L), the largest root of minpoly.
 
-        Sturm bisection on (-2, 2): shrink the left endpoint until exactly
-        one root remains on its right.
+        Sturm bisection on (-2, 2) in ints: shrink the left endpoint until
+        exactly one root remains on its right.  Each halving doubles the
+        endpoints at scale k + 1, and k is lowered at the end while both
+        endpoints are even.
         """
-        chain = _sturm_chain(list(self.minpoly))
-        lo, hi = Fraction(-2), Fraction(2)
-        while _sturm_count(chain, lo, hi) > 1:
-            mid = (lo + hi) / 2
-            if _poly_eval(self.minpoly, mid) == 0:
+        chain = _sturm_chain(self.minpoly)
+        lo, hi, k = -2, 2, 0
+        while _sturm_count(chain, lo, hi, k) > 1:
+            mid = lo + hi
+            lo, hi, k = 2 * lo, 2 * hi, k + 1
+            if _dyadic_sign(self.minpoly, mid, k) == 0:
                 # Nudge off the root; roots are isolated points.
-                mid = (lo + mid) / 2
-            if _sturm_count(chain, mid, hi) >= 1:
+                mid = lo + mid
+                lo, hi, k = 2 * lo, 2 * hi, k + 1
+            if _sturm_count(chain, mid, hi, k) >= 1:
                 lo = mid
             else:
                 hi = mid
-        if _sturm_count(chain, lo, hi) != 1:
+        if _sturm_count(chain, lo, hi, k) != 1:
             raise ArithmeticError("failed to isolate theta")
-        return lo, hi
+        while k and not (lo & 1 or hi & 1):
+            lo, hi, k = lo >> 1, hi >> 1, k - 1
+        return lo, hi, k
 
     def _reduction_table(self):
         """x^k mod minpoly for k = degree .. 2*degree-2, as sparse rows of

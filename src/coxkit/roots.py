@@ -49,6 +49,17 @@ def _entry_digit(x):
     return str(x)
 
 
+def _label(coords):
+    """The digits of the coordinates when each is one, else the tuple."""
+    digits = []
+    for x in coords:
+        d = _entry_digit(x)
+        if d is None:
+            return "(" + ", ".join(str(x) for x in coords) + ")"
+        digits.append(d)
+    return "".join(digits)
+
+
 class RootPoset:
     """Roots in breadth-first depth order together with the cover edges.
 
@@ -65,6 +76,7 @@ class RootPoset:
         self.msmall = msmall
         self.depth_cap = depth_cap
         self.index = {r.coords: r.index for r in roots}
+        self._labels = None
         self.up = [[] for _ in roots]
         self.down = [[] for _ in roots]
         for lo, hi, s, is_long in edges:
@@ -81,21 +93,21 @@ class RootPoset:
         return self.roots[-1].depth if self.roots else 0
 
     def label(self, i):
-        coords = self.roots[i].coords
-        digits = [_entry_digit(x) for x in coords]
-        if all(d is not None for d in digits):
-            return "".join(digits)
-        return "(" + ", ".join(str(x) for x in coords) + ")"
+        return self.labels()[i]
 
     def labels(self):
-        return [self.label(i) for i in range(len(self.roots))]
+        """The label of every root, in index order; built once."""
+        if self._labels is None:
+            self._labels = [_label(r.coords) for r in self.roots]
+        return self._labels
 
     def to_dot(self):
         """Graphviz source; long covers are dashed, depths share a rank."""
         out = ["digraph roots {", "  rankdir=BT;", '  node [shape=box];']
+        labels = self.labels()
         by_depth = {}
         for r in self.roots:
-            out.append('  r%d [label="%s"];' % (r.index, self.label(r.index)))
+            out.append('  r%d [label="%s"];' % (r.index, labels[r.index]))
             by_depth.setdefault(r.depth, []).append(r.index)
         for d in sorted(by_depth):
             out.append("  { rank=same; %s }" % " ".join("r%d;" % i for i in by_depth[d]))
@@ -116,7 +128,7 @@ def root_poset(system, max_depth=None, msmall=None, limit=None):
     if max_depth is None and msmall is None and limit is None:
         raise ValueError("need max_depth, msmall or limit")
     n = system.rank
-    norms = [exact(x) for x in system.norms]  # ints wherever the form allows
+    norms = system._norm_q
     roots = []
     edges = []
     index = {}
@@ -214,7 +226,7 @@ def _descend(system, coords):
 def _long_steps(system, steps, norm):
     """Which steps of a descent of a root of norm |b|^2 are long covers:
     B(g, a_s)^2 >= |g|^2 |a_s|^2, that is |a_s|^2 c^2 >= 4|b|^2."""
-    norms = system.norms
+    norms = system._norm_q
     return [c * c * norms[s] >= 4 * norm for s, c in steps]
 
 

@@ -128,3 +128,12 @@ def reflection_census(system, max_length, cayley_bfs):
                 seen.add(t)
                 counts[t.length] += 1
     return counts
+
+
+def gram_bilinear(system, x, y):
+    """B(x, y) = sum_ij x_i G_ij y_j straight off the Gram matrix."""
+    total = 0
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            total = total + xi * system.gram[i][j] * yj
+    return total

@@ -5,7 +5,11 @@ import time
 
 import pytest
 
+from coxkit.automata import build_automaton
 from coxkit.cli import main
+from coxkit.core import CoxeterSystem, coxeter_matrix_from_descriptor
+from coxkit.field import AlgebraicNumber
+from coxkit.roots import root_poset
 
 
 def run(capsys, *argv):
@@ -266,3 +270,71 @@ def test_unwritable_dot_file_exit_2(tmp_path, capsys, argv):
     assert code == 2
     assert err.startswith("error: cannot write %s" % target)
     assert len(err.splitlines()) == 1
+
+
+def test_max_elements_is_an_automaton_option(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["roots", "U3", "--max-depth", "2", "--max-elements", "5"])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --max-elements 5" in captured.err
+
+
+def reference_label(coords):
+    """A root's label spelled from its coordinates alone: the digits when
+    every coordinate is an integer from 0 to 9, else the tuple."""
+    digits = []
+    for x in coords:
+        v = x
+        if isinstance(v, AlgebraicNumber):
+            v = None if any(v.coeffs[1:]) else v.coeffs[0]
+        ok = v is not None and v == int(v) and 0 <= v <= 9
+        digits.append(str(int(v)) if ok else None)
+    if None in digits:
+        return "(" + ", ".join(str(x) for x in coords) + ")"
+    return "".join(digits)
+
+
+@pytest.mark.parametrize("spec, depth, m", [
+    ("U3", 2, 1),  # every label a digit string
+    ("U4", 3, 1),  # coordinates above 9: parenthesised labels
+    ("[[1,3,4],[3,1,5],[4,5,1]]", 5, 1),  # hyperbolic, field degree 16
+    ("~B3", 8, 0),
+])
+def test_labels_match_reference(capsys, spec, depth, m):
+    system = CoxeterSystem(matrix=coxeter_matrix_from_descriptor(spec))
+    poset = root_poset(system, max_depth=depth)
+    ref = [reference_label(r.coords) for r in poset.roots]
+    assert poset.labels() == ref
+    assert [poset.label(i) for i in range(len(poset))] == ref
+    assert all(lab.isdigit() for lab in ref) == (spec == "U3")
+
+    code, out, _ = run(capsys, "roots", spec, "--max-depth", str(depth), "--json")
+    assert code == 0
+    obj = json.loads(out)
+    assert [r["label"] for r in obj["roots"]] == ref
+    assert obj["covers"] == [[ref[lo], ref[hi], s + 1, lg] for lo, hi, s, lg in poset.edges]
+
+    code, out, _ = run(capsys, "roots", spec, "--max-depth", str(depth), "--poset")
+    assert code == 0
+    expected = []
+    for d in sorted({r.depth for r in poset.roots}):
+        expected.append("depth %d:" % d)
+        for r in poset.roots:
+            if r.depth == d:
+                ups = ["%d:%s%s" % (s + 1, ref[j], "(long)" if lg else "")
+                       for s, j, lg in poset.up[r.index]]
+                expected.append("  %s  dp_inf=%d  covers: %s"
+                                % (ref[r.index], r.dpinf, ", ".join(ups) or "-"))
+    expected.append("%d roots" % len(poset))
+    assert out.splitlines() == expected
+
+    dfa = build_automaton(system, m)
+    small = [reference_label(r.coords) for r in dfa.poset.roots]
+    code, out, _ = run(capsys, "automaton", spec, "--m", str(m), "--json")
+    assert code == 0
+    sets = [[small[j] for j in key] for key, _ in dfa.states]
+    assert [state["set"] for state in json.loads(out)["states"]] == sets
+    assert [dfa.state_label(i) for i in range(len(sets))] == \
+        ["{%s}" % ",".join(labels) for labels in sets]
