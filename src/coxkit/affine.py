@@ -12,7 +12,7 @@ import re
 from fractions import Fraction
 
 from .core import CoxeterSystem, preset
-from .roots import root_poset
+from .roots import root_depth, root_poset
 from .series import Polynomial, RationalSeries
 
 _NAME_RE = re.compile(r"^~([A-G])(\d+)$")
@@ -121,7 +121,7 @@ def affine_datum(name):
     finite_poset = root_poset(finite, limit=4 * n ** 4 + 200)
 
     omega = _highest_root(finite, finite_poset)
-    orbits = _orbit_split(finite, finite_poset, omega)
+    orbits = _orbit_split(finite_poset, omega)
 
     rank = n + 1
     ext = [[Fraction(0)] * rank for _ in range(rank)]
@@ -153,44 +153,25 @@ def _highest_root(finite, poset):
     return tuple(best.coords)
 
 
-def _orbit_split(finite, poset, omega):
+def _orbit_split(poset, omega):
     """Orbits of the reflection action on positive roots.
 
-    Returned largest first is never needed; the list is ordered so the
+    In an irreducible crystallographic root system the roots of one
+    length form one orbit (Bourbaki, Lie VI 1.3 Prop. 11), so the
+    orbits are the classes of equal norm.  The list is ordered so the
     first orbit is the smaller one, ties broken toward the orbit of the
     highest root.
     """
-    count = len(poset.roots)
-    parent = list(range(count))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, r in enumerate(poset.roots):
-        for s in range(finite.rank):
-            j = poset.index.get(finite.reflect(r.coords, s))
-            if j is not None:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
     groups = {}
-    for i in range(count):
-        groups.setdefault(find(i), []).append(i)
+    for r in poset.roots:
+        groups.setdefault(r.norm_sq, []).append(r.index)
     orbits = sorted(groups.values(), key=len)
     if len(orbits) > 2:
         raise ArithmeticError("more than two root orbits")
     if len(orbits) == 2 and len(orbits[0]) == len(orbits[1]):
-        iw = poset.index[omega]
-        if iw not in orbits[0]:
+        if poset.index[omega] not in orbits[0]:
             orbits.reverse()
-    for orbit in orbits:
-        norms = {poset.roots[i].norm_sq for i in orbit}
-        if len(norms) != 1:
-            raise ArithmeticError("root norm is not constant on an orbit")
-    return [sorted(o) for o in orbits]
+    return orbits
 
 
 class OrbitSeries:
@@ -217,19 +198,12 @@ def orbit_series(datum, orbit_index):
     cached = datum._orbit_cache.get(orbit_index)
     if cached is not None:
         return cached
-    orbit = datum.orbits[orbit_index]
-    targets = []
-    for i in orbit:
-        a = datum.finite_poset.roots[i].coords
-        targets.append(tuple(a) + (0,))
-        targets.append(tuple(w - c for w, c in zip(datum.omega, a)) + (1,))
-    poset = datum.poset(2 * len(orbit))
     depths = {}
-    for coords in targets:
-        j = poset.index.get(coords)
-        if j is None:
-            raise ArithmeticError("orbit slice escaped the depth bound")
-        depths[datum.root_rep(coords)] = poset.roots[j].depth
+    for i in datum.orbits[orbit_index]:
+        a = datum.finite_poset.roots[i].coords
+        for coords in (tuple(a) + (0,),
+                       tuple(w - c for w, c in zip(datum.omega, a)) + (1,)):
+            depths[datum.root_rep(coords)] = root_depth(datum.system, coords)
     m = max(depths.values())
     counts = [0] * (m + 1)
     for d in depths.values():
@@ -248,21 +222,28 @@ def depth_polynomial(datum):
     for d in data:
         period = d.m + 1
         spread = Polynomial(
-            [1 if (lcm - j) % period == 0 and j < lcm else 0 for j in range(lcm)]
+            [1 if j % period == 0 else 0 for j in range(lcm)]
         )
         total = total + spread * d.p
     return total, lcm
 
 
+def _closed_forms(p, m):
+    """The depth series P/(1 - q^M), reduced, and the reflection series
+    q * Phi(q^2): the reflection through a root of depth d has length
+    2d + 1."""
+    phi = RationalSeries(p, Polynomial([1] + [0] * (m - 1) + [-1]))
+    return phi, phi.substitute_power(2).times_power(1)
+
+
 def depth_series(datum):
     """sum(q^dp) over all positive affine roots, reduced."""
-    p, m = depth_polynomial(datum)
-    return RationalSeries(p, Polynomial([1] + [0] * (m - 1) + [-1]))
+    return _closed_forms(*depth_polynomial(datum))[0]
 
 
 def reflection_series(datum):
     """Length generating series of the reflections: q * Phi(q^2)."""
-    return depth_series(datum).substitute_power(2).times_power(1)
+    return _closed_forms(*depth_polynomial(datum))[1]
 
 
 class AffineSlice:
@@ -309,8 +290,7 @@ def affine_to_obj(datum, terms=None):
     """Summary dictionary: per-orbit data, combined closed form, and
     the reflection series."""
     p, m = depth_polynomial(datum)
-    phi = depth_series(datum)
-    refl = reflection_series(datum)
+    phi, refl = _closed_forms(p, m)
     orbits = []
     for i in range(len(datum.orbits)):
         d = orbit_series(datum, i)

@@ -15,8 +15,7 @@ import json
 import os
 import sys
 
-from .affine import affine_datum, affine_to_obj, depth_polynomial, depth_series, \
-    orbit_series, reflection_series
+from .affine import affine_datum, affine_to_obj
 from .automata import build_automaton, dfa_to_dot, dfa_to_obj
 from .core import CoxeterSystem, LimitExceeded, coxeter_matrix_from_descriptor, \
     format_word, is_reflection, parse_word
@@ -54,8 +53,8 @@ def _write_file(path, text):
         raise ValueError("cannot write %s: %s" % (path, exc.strerror or exc))
 
 
-def _print_series(name, series, terms, out):
-    obj = series.to_obj(terms)
+def _print_series(name, obj, out):
+    """Text form of a series report: num, den and the coefficients."""
     out.write("%s: num %s den %s\n" % (name, obj["num"], obj["den"]))
     out.write("%s coefficients: %s\n" % (name, obj["coefficients"]))
 
@@ -122,7 +121,7 @@ def cmd_automaton(args, out):
               % (len(dfa.states), dfa.set_count, len(dfa.finals),
                  len(dfa.transitions)))
     if series is not None:
-        _print_series("series", series, args.terms, out)
+        _print_series("series", series.to_obj(args.terms), out)
     return 0
 
 
@@ -155,7 +154,7 @@ def cmd_prefixes(args, out):
     system = _system(args.spec)
     w = system.element(parse_word(args.word, system.rank))
     if is_reflection(w) is not None:
-        prefs = prefixes_of(system, w)
+        prefs = prefixes_of(system, w, limit=args.max_roots)
         pal = palindromic_word(system, w)
         if args.json:
             obj = {
@@ -197,6 +196,8 @@ def cmd_dihedral(args, out):
     for w in (r, t):
         if is_reflection(w) is None:
             raise DomainError("%s is not a reflection" % format_word(w.word, system.rank))
+    if r == t:
+        raise DomainError("the two reflections must be distinct")
     sub = canonical_generators(system, r, t)
     c1, c2 = sub.canonical
     if args.json:
@@ -214,29 +215,26 @@ def cmd_dihedral(args, out):
 
 
 def cmd_affine(args, out):
-    datum = affine_datum(args.type)
+    obj = affine_to_obj(affine_datum(args.type), args.terms)
     if args.json:
-        out.write(json.dumps(affine_to_obj(datum, args.terms), indent=2) + "\n")
+        out.write(json.dumps(obj, indent=2) + "\n")
         return 0
     out.write("type %s, %d positive finite roots, highest root (%s)\n"
-              % (datum.name, len(datum.finite_poset.roots),
-                 ", ".join(str(c) for c in datum.omega)))
-    for i in range(len(datum.orbits)):
-        d = orbit_series(datum, i)
+              % (obj["type"], obj["positive_roots"], ", ".join(obj["highest_root"])))
+    for orbit in obj["orbit_series"]:
         out.write("orbit %d (size %d): P = %s, M = %d\n"
-                  % (i + 1, len(datum.orbits[i]),
-                     [str(c) for c in d.p.coeffs], d.m))
-    p, m = depth_polynomial(datum)
-    out.write("combined: P = %s, M = %d\n" % ([str(c) for c in p.coeffs], m))
-    _print_series("depth series", depth_series(datum), args.terms, out)
-    _print_series("reflection series", reflection_series(datum), args.terms, out)
+                  % (orbit["orbit"], orbit["size"], orbit["P"], orbit["M"]))
+    out.write("combined: P = %s, M = %d\n" % (obj["depth_numerator"], obj["depth_period"]))
+    _print_series("depth series", obj["depth_series"], out)
+    _print_series("reflection series", obj["reflection_series"], out)
     return 0
 
 
-def _add_common(sub):
+def _add_common(sub, max_roots=False):
     sub.add_argument("--json", action="store_true", help="JSON output")
-    sub.add_argument("--max-roots", type=_count, default=100000,
-                     help="cap on enumerated roots")
+    if max_roots:
+        sub.add_argument("--max-roots", type=_count, default=100000,
+                         help="cap on enumerated roots")
 
 
 def build_parser():
@@ -252,7 +250,7 @@ def build_parser():
     p.add_argument("--max-depth", type=_count, required=True)
     p.add_argument("--poset", action="store_true", help="show cover lists")
     p.add_argument("--dot", metavar="FILE", help="write DOT to FILE")
-    _add_common(p)
+    _add_common(p, max_roots=True)
     p.set_defaults(func=cmd_roots)
 
     p = subs.add_parser("automaton", help="canonical m-automaton")
@@ -271,13 +269,13 @@ def build_parser():
     p = subs.add_parser("reflections", help="reflection census in a ball")
     p.add_argument("spec")
     p.add_argument("--max-length", type=_count, required=True)
-    _add_common(p)
+    _add_common(p, max_roots=True)
     p.set_defaults(func=cmd_reflections)
 
     p = subs.add_parser("prefixes", help="reflection-prefix listing or check")
     p.add_argument("spec")
     p.add_argument("word", help="reflection to list prefixes of, or word to check")
-    _add_common(p)
+    _add_common(p, max_roots=True)
     p.set_defaults(func=cmd_prefixes)
 
     p = subs.add_parser("dihedral", help="canonical generators of <r, t>")

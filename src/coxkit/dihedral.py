@@ -12,7 +12,7 @@ on, so a walk may stop as soon as it climbs past its cap.
 import math
 from fractions import Fraction
 
-from .core import _inversions
+from .core import _inversions, _plain
 from .field import exact
 from .prefixes import _reflection_root
 from .roots import Root, _descend, dominance_set, reflection_from_root, root_depth, \
@@ -62,8 +62,10 @@ def _positive(system, v):
 
 def _reflect_in(system, v, root, norm):
     # 2B(v, root)/|root|^2 is integral for roots, so v stays in Z[theta];
-    # Fraction(2) keeps an int norm from giving a float quotient
-    c = exact(system.bilinear(v, root) * (Fraction(2) / norm))
+    # Fraction(2) keeps an int norm from giving a float quotient, and
+    # _plain turns a rational AlgebraicNumber norm into a Fraction, which
+    # divides without a field inverse
+    c = exact(system.bilinear(v, root) * (Fraction(2) / _plain(norm)))
     return tuple(x - c * y for x, y in zip(v, root))
 
 

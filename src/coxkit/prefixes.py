@@ -83,17 +83,18 @@ def prefix_of_reflection(system, t):
     return ReflectionPrefix(p, t, root, r)
 
 
-def prefixes_of(system, t):
+def prefixes_of(system, t, limit=None):
     """Every prefix of the reflection t.
 
     Walks all saturated chains of the root poset from the root of t
     down to a simple root; the chain letters followed by the simple
     letter spell a prefix word.  Distinct chains can spell the same
-    element, so the result is deduplicated.
+    element, so the result is deduplicated.  limit caps the roots the
+    poset may enumerate.
     """
     root = _reflection_root(system, t)
     dp = root_depth(system, root)
-    poset = root_poset(system, max_depth=dp)
+    poset = root_poset(system, max_depth=dp, limit=limit)
     out = {}
     stack = [(poset.index_of(root), [])]
     while stack:

@@ -10,14 +10,7 @@ import math
 from fractions import Fraction
 
 from .automata import count_by_length
-from .field import _poly_divmod as _coeff_divmod, exact
-
-
-def _strip(coeffs):
-    out = list(coeffs)
-    while out and out[-1] == 0:
-        out.pop()
-    return out
+from .field import _poly_divmod as _coeff_divmod, _poly_trim, exact
 
 
 class Polynomial:
@@ -26,7 +19,7 @@ class Polynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        self.coeffs = tuple(Fraction(c) for c in _strip(coeffs))
+        self.coeffs = tuple(Fraction(c) for c in _poly_trim(coeffs))
 
     @classmethod
     def monomial(cls, c, d):
@@ -150,7 +143,7 @@ def _coprime_mod_prime(a, b):
             if f:
                 for j, c in enumerate(b):
                     a[i + j] = (a[i + j] - f * c) % _PRIME
-        a, b = b, _strip(a[: len(b) - 1])
+        a, b = b, _poly_trim(a[: len(b) - 1])
     return len(a) == 1
 
 
@@ -229,13 +222,17 @@ class RationalSeries:
         return RationalSeries(self.num * other.num, self.den * other.den)
 
     def substitute_power(self, k):
-        return RationalSeries(
+        """The series in q^k.  A Bezout identity u num + v den = 1 holds
+        in q^k too, so the pair stays coprime, and den(0) is unchanged."""
+        return RationalSeries._reduced(
             self.num.substitute_power(k), self.den.substitute_power(k)
         )
 
     def times_power(self, j):
-        """Multiply by q^j; j < 0 requires the expansion to allow it."""
-        return RationalSeries(self.num.shifted(j), self.den)
+        """Multiply by q^j; j < 0 requires the expansion to allow it.
+        den(0) = 1 keeps q from dividing den, so a shift either way
+        leaves the pair coprime."""
+        return RationalSeries._reduced(self.num.shifted(j), self.den)
 
     def coefficients(self, count):
         """First `count` power-series coefficients, exact."""
@@ -306,7 +303,7 @@ def berlekamp_massey(seq):
             gap += 1
         den = [c // content for c in new]
     lead = den[0]
-    return _strip(exact(Fraction(c, lead)) for c in den), length
+    return _poly_trim(exact(Fraction(c, lead)) for c in den), length
 
 
 def dfa_series(dfa):

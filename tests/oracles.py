@@ -137,3 +137,35 @@ def gram_bilinear(system, x, y):
         for j, yj in enumerate(y):
             total = total + xi * system.gram[i][j] * yj
     return total
+
+
+def root_orbits(system, roots):
+    """Orbits of the simple reflections on positive roots, by plain closure.
+
+    Each reflection is s(v) = v - 2B(v, a_s)/B(a_s, a_s) a_s straight off
+    the Gram matrix, and a negative image stands for its negative.
+    Returns a list of sets of coordinate tuples.
+    """
+    simple = [tuple(int(i == s) for i in range(system.rank)) for s in range(system.rank)]
+
+    def reflect(v, s):
+        a = simple[s]
+        c = 2 * gram_bilinear(system, v, a) / gram_bilinear(system, a, a)
+        w = tuple(x - c * y for x, y in zip(v, a))
+        return w if any(x > 0 for x in w) else tuple(-x for x in w)
+
+    left = set(roots)
+    orbits = []
+    while left:
+        start = min(left)
+        orbit, stack = {start}, [start]
+        while stack:
+            v = stack.pop()
+            for s in range(system.rank):
+                w = reflect(v, s)
+                if w not in orbit:
+                    orbit.add(w)
+                    stack.append(w)
+        left -= orbit
+        orbits.append(orbit)
+    return orbits

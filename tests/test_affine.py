@@ -6,10 +6,17 @@ import pytest
 
 import coxkit as ck
 from coxkit.affine import (
-    affine_datum, affine_slice, affine_to_obj, depth_polynomial,
+    AffineDatum, affine_datum, affine_slice, affine_to_obj, depth_polynomial,
     depth_series, orbit_series, reflection_series,
 )
 from coxkit.series import Polynomial, RationalSeries, is_palindromic
+from oracles import root_orbits
+
+AFFINE_PRESETS = (
+    ["~A%d" % n for n in range(2, 7)] + ["~B%d" % n for n in (3, 4, 5)]
+    + ["~C%d" % n for n in (2, 3, 4, 5)] + ["~D%d" % n for n in (4, 5, 6)]
+    + ["~E6", "~E7", "~E8", "~F4", "~G2"]
+)
 
 
 def test_non_affine_names_rejected():
@@ -150,3 +157,39 @@ def test_to_obj_shape():
         assert all(isinstance(c, str) for c in rec["P"])
     assert len(obj["depth_series"]["coefficients"]) == 6
     assert all(isinstance(c, str) for c in obj["depth_numerator"])
+
+
+@pytest.mark.parametrize("name", AFFINE_PRESETS)
+def test_orbits_match_reflection_closure(name):
+    d = affine_datum(name)
+    roots = d.finite_poset.roots
+    got = [{roots[i].coords for i in orbit} for orbit in d.orbits]
+    expect = root_orbits(d.finite, [r.coords for r in roots])
+    assert sorted(map(sorted, got)) == sorted(map(sorted, expect))
+    # the smaller orbit first, a tie going to the orbit of the highest root
+    assert len(got[0]) <= len(got[-1])
+    if len(got[0]) == len(got[-1]):
+        assert d.omega in got[0]
+
+
+def test_orbit_series_needs_no_affine_poset(monkeypatch):
+    def refuse(self, depth):
+        raise AssertionError("orbit_series enumerated the affine poset")
+
+    monkeypatch.setattr(AffineDatum, "poset", refuse)
+    d = affine_datum("~E8")
+    assert [orbit_series(d, i).m for i in range(len(d.orbits))] == [28]
+
+
+def test_report_reduces_the_depth_series_once(monkeypatch):
+    calls = []
+    init = RationalSeries.__init__
+
+    def counted(self, *args):
+        calls.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(RationalSeries, "__init__", counted)
+    obj = affine_to_obj(affine_datum("~F4"), 8)
+    assert len(calls) == 1
+    assert obj["depth_period"] == 88

@@ -103,6 +103,13 @@ def test_dihedral_rejects_non_reflection(capsys):
     assert code == 4
 
 
+def test_dihedral_equal_reflections_are_a_domain_error(capsys):
+    code, out, err = run(capsys, "dihedral", "A3", "1", "1")
+    assert code == 4
+    assert out == ""
+    assert err == "error: the two reflections must be distinct\n"
+
+
 def test_affine_text(capsys):
     code, out, _ = run(capsys, "affine", "~A2", "--terms", "5")
     assert code == 0
@@ -213,6 +220,15 @@ def test_reflections_bounded_by_max_roots(capsys):
     assert err == "error: root enumeration exceeded 1000\n"
 
 
+def test_prefixes_bounded_by_max_roots(capsys):
+    # a reflection of depth 4 in the all-infinite rank-4 group: the roots of
+    # depth at most 4 are far more than 50
+    code, out, err = run(capsys, "prefixes", "U4", "123414321", "--max-roots", "50")
+    assert code == 3
+    assert out == ""
+    assert err == "error: root enumeration exceeded 50\n"
+
+
 def test_reflections_do_not_enumerate_the_ball(capsys):
     # the radius-41 ball of ~A5 is far past --max-elements; its 126
     # reflections of length <= 41 are 126 roots of depth <= 20
@@ -279,6 +295,19 @@ def test_max_elements_is_an_automaton_option(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "unrecognized arguments: --max-elements 5" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ("affine", "~A2", "--max-roots", "5"),
+    ("dihedral", "A3", "1", "2", "--max-roots", "5"),
+])
+def test_max_roots_only_where_roots_are_enumerated(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --max-roots 5" in captured.err
 
 
 def reference_label(coords):

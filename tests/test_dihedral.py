@@ -36,6 +36,20 @@ def test_equal_reflections_rejected():
         ck.canonical_generators(sysm, sysm.generator(0), sysm.generator(0))
 
 
+def test_h3_pair_needs_no_field_inverse(monkeypatch):
+    # H3 roots have norm 1 in Q(sqrt 5); reflecting in one must divide by
+    # the rational 1, not invert the field element
+    def refuse(self):
+        raise AssertionError("AlgebraicNumber.inverse called")
+
+    sysm = system("H3")
+    r, t = sysm.element("12132123121"), sysm.element("321323123")
+    expect = ck.canonical_generators_repfree(sysm, r, t)
+    monkeypatch.setattr(ck.AlgebraicNumber, "inverse", refuse)
+    sub = ck.canonical_generators(sysm, r, t)
+    assert sub.canonical == expect.canonical
+
+
 def test_canonical_pair_generates_the_same_group():
     sysm = system("A3")
     rng = random.Random(2)
