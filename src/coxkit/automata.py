@@ -111,6 +111,37 @@ def accepts(dfa, word):
     return state in dfa.finals
 
 
+def _successors(dfa):
+    succ = [[] for _ in dfa.states]
+    for src, _, dst in dfa.transitions:
+        succ[src].append(dst)
+    return succ
+
+
+def is_acyclic(dfa):
+    """True when the transition graph has no cycle.
+
+    Every state of a built automaton is reachable, so the language is
+    then finite and no accepted word is longer than the number of
+    states minus one.  Kahn's algorithm: repeatedly remove a state no
+    remaining transition enters; a cycle is what is left over.
+    """
+    succ = _successors(dfa)
+    indeg = [0] * len(succ)
+    for _, _, dst in dfa.transitions:
+        indeg[dst] += 1
+    ready = [i for i, d in enumerate(indeg) if not d]
+    removed = 0
+    while ready:
+        i = ready.pop()
+        removed += 1
+        for j in succ[i]:
+            indeg[j] -= 1
+            if not indeg[j]:
+                ready.append(j)
+    return removed == len(succ)
+
+
 def count_by_length(dfa, max_len):
     """Accepted-word counts for lengths 0..max_len.
 
@@ -118,9 +149,7 @@ def count_by_length(dfa, max_len):
     the number of words reaching each; once it empties, no longer word
     is accepted.
     """
-    succ = [[] for _ in dfa.states]
-    for src, _, dst in dfa.transitions:
-        succ[src].append(dst)
+    succ = _successors(dfa)
     frontier = {dfa.initial: 1}
     out = []
     while frontier and len(out) <= max_len:

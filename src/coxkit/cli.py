@@ -11,6 +11,7 @@ not a reflection.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -109,11 +110,11 @@ def cmd_automaton(args, out):
     dfa = build_automaton(system, args.m, args.kind, limit=args.max_elements)
     if args.dot:
         _write_file(args.dot, dfa_to_dot(dfa))
-    series = dfa_series(dfa) if args.series else None
+    series = dfa_series(dfa).to_obj(args.terms) if args.series else None
     if args.json:
         obj = dfa_to_obj(dfa)
         if series is not None:
-            obj["series"] = series.to_obj(args.terms)
+            obj["series"] = series
         out.write(json.dumps(obj, indent=2) + "\n")
         return 0
     out.write("kind=%s m=%d\n" % (dfa.kind, dfa.m))
@@ -121,7 +122,7 @@ def cmd_automaton(args, out):
               % (len(dfa.states), dfa.set_count, len(dfa.finals),
                  len(dfa.transitions)))
     if series is not None:
-        _print_series("series", series.to_obj(args.terms), out)
+        _print_series("series", series, out)
     return 0
 
 
@@ -294,6 +295,16 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser every `main` call shares, built on the first one.
+
+    parse_args keeps no state between calls: each makes a new Namespace
+    and formats usage and errors against the sys.stderr of the moment.
+    """
+    return build_parser()
+
+
 def _apply_mem_cap():
     cap = os.environ.get("COXKIT_MAX_MEM")
     if not cap:
@@ -313,7 +324,7 @@ def _apply_mem_cap():
 def main(argv=None):
     try:
         _apply_mem_cap()
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args, sys.stdout)
     except DomainError as exc:
         sys.stderr.write("error: %s\n" % exc)

@@ -7,9 +7,11 @@ of their exact word counts, so every coefficient is exact.
 """
 
 import math
+import sys
 from fractions import Fraction
 
-from .automata import count_by_length
+from .automata import count_by_length, is_acyclic
+from .core import LimitExceeded
 from .field import _poly_divmod as _coeff_divmod, _poly_trim, exact
 
 
@@ -247,13 +249,35 @@ class RationalSeries:
         return out
 
     def to_obj(self, terms=None):
+        """Plain dictionary form, rationals as strings.
+
+        Raises LimitExceeded when one of the first `terms` coefficients
+        has more digits than str() converts to text
+        (sys.get_int_max_str_digits).
+        """
         obj = {
             "num": [str(c) for c in self.num.coeffs],
             "den": [str(c) for c in self.den.coeffs],
         }
         if terms is not None:
-            obj["coefficients"] = [str(c) for c in self.coefficients(terms)]
+            coeffs = self.coefficients(terms)
+            _check_printable(coeffs)
+            obj["coefficients"] = [str(c) for c in coeffs]
         return obj
+
+
+def _check_printable(coeffs):
+    """Raise LimitExceeded where str() would refuse a coefficient."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        return
+    bound = 10 ** limit
+    for k, c in enumerate(coeffs):
+        if abs(c.numerator) >= bound or c.denominator >= bound:
+            raise LimitExceeded(
+                "the coefficient of q^%d has more than %d digits, the "
+                "interpreter's limit for printing an integer; lower --terms"
+                % (k, limit))
 
 
 def pal_series(pref):
@@ -317,8 +341,16 @@ def dfa_series(dfa):
     recurrence, and den(0) = 1.  The recurrence is checked against
     2n + 5 direct counts before returning: the product of den with the
     counts must vanish from the recurrence length on.
+
+    An automaton without a cycle accepts a finite language, no word of
+    it longer than n - 1 letters, as it has no path of n transitions.
+    Its series is the count polynomial over 1, the reduced form
+    Berlekamp-Massey would return, and is read off the counts directly.
     """
     n = len(dfa.states)
+    if is_acyclic(dfa):
+        return RationalSeries._reduced(
+            Polynomial(count_by_length(dfa, n - 1)), Polynomial([1]))
     check = 2 * n + 5
     counts = count_by_length(dfa, check - 1)
     den, length = berlekamp_massey(counts[: 2 * n + 1])

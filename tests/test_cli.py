@@ -5,8 +5,9 @@ import time
 
 import pytest
 
+from coxkit import cli
 from coxkit.automata import build_automaton
-from coxkit.cli import main
+from coxkit.cli import build_parser, main
 from coxkit.core import CoxeterSystem, coxeter_matrix_from_descriptor
 from coxkit.field import AlgebraicNumber
 from coxkit.roots import root_poset
@@ -147,6 +148,44 @@ def test_automaton_state_cap_exit_code(capsys):
     assert code == 3
     assert out == ""
     assert "1000 states" in err
+
+
+@pytest.mark.parametrize("extra", [(), ("--json",)])
+def test_terms_past_the_digit_limit_exit_3(capsys, extra):
+    # U8 words grow like 7^k: q^5089 has 4301 digits, one more than
+    # str() converts by default, and nothing is printed before the guard
+    code, out, err = run(capsys, "automaton", "U8", "--series",
+                         "--terms", "5200", *extra)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: the coefficient of q^5089 has more than")
+    assert err.rstrip().endswith("lower --terms")
+    assert len(err.splitlines()) == 1
+
+
+def test_parser_built_once_per_process(capsys, monkeypatch):
+    builds = []
+
+    def counting_build():
+        builds.append(1)
+        return build_parser()
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    example = ["automaton", "A2", "--m", "0", "--series", "--terms", "6"]
+    assert main(example) == 0
+    first = capsys.readouterr().out
+    with pytest.raises(SystemExit) as info:
+        main(["automaton", "A3", "--terms", "-1"])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: coxkit automaton")
+    assert main(["dihedral", "A3", "1", "1"]) == 4
+    capsys.readouterr()
+    assert main(example) == 0
+    assert capsys.readouterr().out == first
+    assert len(builds) == 1
+    cli._parser.cache_clear()
+    assert build_parser() is not build_parser()
 
 
 def test_mem_cap_must_be_integer(capsys, monkeypatch):

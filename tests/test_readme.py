@@ -8,6 +8,8 @@ text before the `...`.
 
 import os
 import shlex
+import subprocess
+import sys
 
 import pytest
 
@@ -50,3 +52,17 @@ def test_readme_example(capsys, argv, shown):
     real = iter(capsys.readouterr().out.splitlines())
     for want in shown:
         assert any(_matches(want, line) for line in real), want
+
+
+def test_python_m_coxkit_prints_what_main_prints(capsys):
+    """A fresh interpreter running `python3 -m coxkit` from the checkout
+    prints the same bytes as in-process calls that share one parser."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for argv, _ in _examples()[:2]:
+        proc = subprocess.run([sys.executable, "-m", "coxkit", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert main(argv) == 0
+        assert proc.stdout == capsys.readouterr().out

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import coxkit as ck
+from coxkit import series
 from coxkit.automata import build_automaton, count_by_length
 from coxkit.core import coxeter_matrix_from_descriptor
 from coxkit.series import (
@@ -182,6 +183,35 @@ def test_dfa_series_matches_counts():
         n = 3 * len(dfa.states)
         assert gf.coefficients(n + 1) == [
             Fraction(c) for c in count_by_length(dfa, n)]
+
+
+class _ReachedBerlekampMassey(Exception):
+    pass
+
+
+def _no_berlekamp_massey(seq):
+    raise _ReachedBerlekampMassey
+
+
+@pytest.mark.parametrize("kind", ["red", "pref"])
+@pytest.mark.parametrize("spec", [
+    "A3", "B3", "B4", "D4", "H3", "F4", "I2(5)", "I2(7)", "I2(8)"])
+def test_dfa_series_of_finite_language_is_its_count_polynomial(
+        monkeypatch, spec, kind):
+    monkeypatch.setattr(series, "berlekamp_massey", _no_berlekamp_massey)
+    sysm = ck.CoxeterSystem(matrix=coxeter_matrix_from_descriptor(spec))
+    dfa = build_automaton(sysm, 0, kind)
+    counts = count_by_length(dfa, len(dfa.states))
+    assert dfa_series(dfa) == RationalSeries(Polynomial(counts))
+
+
+@pytest.mark.parametrize("spec", ["~A2", "U3", "[[1,3,4],[3,1,0],[4,0,1]]"])
+def test_dfa_series_of_infinite_language_runs_berlekamp_massey(
+        monkeypatch, spec):
+    monkeypatch.setattr(series, "berlekamp_massey", _no_berlekamp_massey)
+    sysm = ck.CoxeterSystem(matrix=coxeter_matrix_from_descriptor(spec))
+    with pytest.raises(_ReachedBerlekampMassey):
+        dfa_series(build_automaton(sysm, 0, "red"))
 
 
 def test_pal_series_shifts_into_odd_degrees():
