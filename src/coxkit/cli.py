@@ -242,7 +242,7 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="coxkit",
         description="Exact combinatorics of Coxeter systems: root posets, "
-                    "canonical automata, and Poincare series.",
+                    "canonical automata, and reduced-word series.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
 

@@ -73,10 +73,6 @@ class CoxeterMatrix:
     def to_obj(self):
         return [list(row) for row in self.entries]
 
-    @classmethod
-    def from_obj(cls, obj):
-        return cls(obj)
-
     def __eq__(self, other):
         return isinstance(other, CoxeterMatrix) and self.entries == other.entries
 

@@ -9,11 +9,10 @@ depth along a tail descends to a single valley and climbs from then
 on, so a walk may stop as soon as it climbs past its cap.
 """
 
-import math
 from fractions import Fraction
 
 from .core import _inversions, _plain
-from .field import exact
+from .field import bond_lcm, exact
 from .prefixes import _reflection_root
 from .roots import Root, _descend, dominance_set, reflection_from_root, root_depth, \
     root_profile
@@ -44,13 +43,7 @@ class DihedralSubgroup:
 def default_order_bound(system):
     """Search cap for product orders: twice the lcm of the finite bond
     orders, plus rank squared."""
-    l = 1
-    for i in range(system.rank):
-        for j in range(i + 1, system.rank):
-            m = system.matrix.entry(i, j)
-            if m >= 3:
-                l = l * m // math.gcd(l, m)
-    return 2 * l + system.rank * system.rank
+    return 2 * bond_lcm(system.matrix) + system.rank * system.rank
 
 
 def _positive(system, v):

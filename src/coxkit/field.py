@@ -13,15 +13,16 @@ element matrices lie in the ring Z[theta] (every Cartan coefficient
 -2cos(pi/m) is an algebraic integer), so their arithmetic never leaves
 int.  The sign of an element is decided without floating point, by
 integer interval arithmetic against a dyadic isolating interval for
-theta that is refined by bisection as needed.  That interval is found
-by Sturm bisection in ints as well: each member of the Sturm chain is
-scaled to a primitive int polynomial and evaluated at dyadic points.
+theta that is refined by bisection as needed.  The first interval is a
+closed form in L: theta lies within 10/L^2 of 2, and every other
+conjugate 2cos(k*pi/L) at least 20/L^2 below it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import islice
+from math import lcm
 from operator import add, neg, sub
 
 
@@ -75,8 +76,19 @@ def _poly_mul_into(prod, a, b):
                     prod[i + j] += ai * bj
 
 
-def _poly_deriv(c):
-    return [i * coeff for i, coeff in enumerate(c)][1:]
+def divmod_monic(a, b):
+    """Quotient and remainder of int polynomials (lowest-first) by a
+    monic b; both stay int, as no step divides."""
+    n = len(b) - 1
+    terms = [(j, c) for j, c in enumerate(b[:-1]) if c]
+    r = list(a)
+    q = [0] * max(0, len(a) - n)
+    for i in range(len(q) - 1, -1, -1):
+        c = q[i] = r[i + n]
+        if c:
+            for j, bj in terms:
+                r[i + j] -= c * bj
+    return q, _poly_trim(r[:n])
 
 
 def _mobius(n):
@@ -110,30 +122,30 @@ def cyclotomic(n):
         elif mu == -1:
             dens.append(d)
     for d in dens:
-        # num = q (x^d - 1) means num_k = q_{k-d} - q_k; solve from the top
-        q = [0] * len(num)
-        for k in range(len(num) - 1, d - 1, -1):
-            q[k - d] = num[k] + q[k]
-        if any(num[k] + q[k] for k in range(d)):
+        num, r = divmod_monic(num, [-1] + [0] * (d - 1) + [1])
+        if r:
             raise ArithmeticError("cyclotomic division not exact")
-        num = q[:len(num) - d]
     return num
 
 
-def chebyshev_c(k):
-    """Integer coefficients of C_k with C_k(2cos x) = 2cos(kx).
+def _chebyshev_cs():
+    """Integer coefficients of C_0, C_1, C_2, .. with C_k(2cos x) = 2cos(kx).
 
     C_0 = 2, C_1 = y, C_k = y*C_{k-1} - C_{k-2}.
     """
-    if k == 0:
-        return [2]
     prev, cur = [2], [0, 1]
-    for _ in range(k - 1):
+    yield prev
+    while True:
+        yield cur
         nxt = [0] + cur
         for i, c in enumerate(prev):
             nxt[i] -= c
         prev, cur = cur, _poly_trim(nxt) or [0]
-    return cur
+
+
+def chebyshev_c(k):
+    """Integer coefficients of C_k with C_k(2cos x) = 2cos(kx)."""
+    return next(islice(_chebyshev_cs(), k, None))
 
 
 def _minpoly_from_cyclotomic(L):
@@ -146,47 +158,10 @@ def _minpoly_from_cyclotomic(L):
     # Phi palindromic: Phi/x^m = c_m + sum_{k>=1} c_{m+k} (x^k + x^-k)
     psi = [0] * (m + 1)
     psi[0] = phi[m]
-    for k in range(1, m + 1):
-        ck = chebyshev_c(k)
+    for k, ck in enumerate(islice(_chebyshev_cs(), 1, m + 1), 1):
         for i, c in enumerate(ck):
             psi[i] += phi[m + k] * c
     return _poly_trim(psi)
-
-
-def _primitive(poly):
-    """The positive multiple of a rational polynomial whose coefficients
-    are coprime ints; it has the sign of poly at every point."""
-    den = lcm(*(c.denominator for c in poly))
-    ints = [int(c * den) for c in poly]
-    g = gcd(*ints)
-    return [c // g for c in ints]
-
-
-def _sturm_chain(poly):
-    """Sturm sequence of a squarefree polynomial of degree >= 1.
-
-    Each member is scaled to a primitive int polynomial.  A positive
-    scale changes only the quotients of the later divisions, so every
-    member stays a positive multiple of the classical one and the sign
-    variations at each point are the same.
-    """
-    chain = [_primitive(poly), _primitive(_poly_deriv(poly))]
-    while True:
-        _, r = _poly_divmod(chain[-2], chain[-1])
-        if not r:
-            return chain
-        chain.append(_primitive([-c for c in r]))
-
-
-def _sturm_count(chain, a, b, k):
-    """Number of distinct real roots in (a/2^k, b/2^k], a < b, neither a
-    root of chain[0]."""
-
-    def variations(x):
-        signs = [s for s in (_dyadic_sign(p, x, k) for p in chain) if s]
-        return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
-
-    return variations(a) - variations(b)
 
 
 def _dyadic_eval(poly, lo, hi, k):
@@ -262,31 +237,17 @@ class CyclotomicField:
 
     def _isolate_largest_root(self):
         """Dyadic interval (lo, hi, k), that is [lo/2^k, hi/2^k], around
-        2cos(pi/L), the largest root of minpoly.
+        2cos(pi/L), the largest root of minpoly, for L >= 4.
 
-        Sturm bisection on (-2, 2) in ints: shrink the left endpoint until
-        exactly one root remains on its right.  Each halving doubles the
-        endpoints at scale k + 1, and k is lowered at the end while both
-        endpoints are even.
+        The interval is [2 - 2^-j, 2] with 2^j <= L^2/10 < 2^(j+1):
+        - 2 - theta = 4sin^2(pi/2L) <= pi^2/L^2 < 10/L^2 <= 2^-j;
+        - every other conjugate 2cos(k*pi/L) has k >= 3 odd, so, by
+          cos x <= 1 - x^2/2 + x^4/24, 2 - theta_2 >= 9pi^2/L^2
+          - 81pi^4/(12L^4) > 20/L^2 > 2^-j.
+        Neither endpoint is a root, so refine_theta can take it as is.
         """
-        chain = _sturm_chain(self.minpoly)
-        lo, hi, k = -2, 2, 0
-        while _sturm_count(chain, lo, hi, k) > 1:
-            mid = lo + hi
-            lo, hi, k = 2 * lo, 2 * hi, k + 1
-            if _dyadic_sign(self.minpoly, mid, k) == 0:
-                # Nudge off the root; roots are isolated points.
-                mid = lo + mid
-                lo, hi, k = 2 * lo, 2 * hi, k + 1
-            if _sturm_count(chain, mid, hi, k) >= 1:
-                lo = mid
-            else:
-                hi = mid
-        if _sturm_count(chain, lo, hi, k) != 1:
-            raise ArithmeticError("failed to isolate theta")
-        while k and not (lo & 1 or hi & 1):
-            lo, hi, k = lo >> 1, hi >> 1, k - 1
-        return lo, hi, k
+        j = (self.L * self.L // 10).bit_length() - 1
+        return 2 ** (j + 1) - 1, 2 ** (j + 1), j
 
     def _reduction_table(self):
         """x^k mod minpoly for k = degree .. 2*degree-2, as sparse rows of
@@ -557,17 +518,17 @@ def sign(x):
     return (x > 0) - (x < 0)
 
 
-def field_for_matrix(matrix):
-    """Smallest shared real cyclotomic field for a Coxeter matrix.
-
-    L = lcm of the finite bonds >= 3; defaults to 1 when every bond is
-    2 or infinite (the form is then rational).
-    """
-    L = 1
+def bond_lcm(matrix):
+    """lcm of the finite bonds >= 3 of a Coxeter matrix; 1 when every
+    bond is 2 or infinite."""
     n = matrix.rank
-    for i in range(n):
-        for j in range(i + 1, n):
-            m = matrix.entry(i, j)
-            if m >= 3:
-                L = L * m // gcd(L, m)
-    return CyclotomicField(L)
+    return lcm(*(m for i in range(n) for j in range(i + 1, n)
+                 if (m := matrix.entry(i, j)) >= 3))
+
+
+def field_for_matrix(matrix):
+    """Smallest shared real cyclotomic field for a Coxeter matrix:
+    L = bond_lcm(matrix), so L = 1 (the form is rational) when every
+    bond is 2 or infinite.
+    """
+    return CyclotomicField(bond_lcm(matrix))

@@ -23,10 +23,6 @@ class Polynomial:
     def __init__(self, coeffs=()):
         self.coeffs = tuple(Fraction(c) for c in _poly_trim(coeffs))
 
-    @classmethod
-    def monomial(cls, c, d):
-        return cls([0] * d + [c])
-
     @property
     def degree(self):
         return len(self.coeffs) - 1
@@ -114,45 +110,8 @@ def poly_divexact(a, b):
     return q
 
 
-_PRIME = 2 ** 61 - 1
-
-
-def _mod_prime(p):
-    """Coefficients of p modulo _PRIME, or None when the prime divides a
-    denominator or the leading coefficient."""
-    out = []
-    for c in p.coeffs:
-        if c.denominator % _PRIME == 0:
-            return None
-        out.append(c.numerator * pow(c.denominator, -1, _PRIME) % _PRIME)
-    return out if out and out[-1] else None
-
-
-def _coprime_mod_prime(a, b):
-    """True only when a and b are coprime over Q.
-
-    Reduction modulo a prime that keeps both degrees maps the rational
-    gcd onto a divisor of the modular one, so a constant modular gcd
-    proves coprimality; False proves nothing.
-    """
-    a, b = _mod_prime(a), _mod_prime(b)
-    if a is None or b is None:
-        return False
-    while b:
-        inv = pow(b[-1], -1, _PRIME)
-        for i in range(len(a) - len(b), -1, -1):
-            f = a[i + len(b) - 1] * inv % _PRIME
-            if f:
-                for j, c in enumerate(b):
-                    a[i + j] = (a[i + j] - f * c) % _PRIME
-        a, b = b, _poly_trim(a[: len(b) - 1])
-    return len(a) == 1
-
-
 def poly_gcd(a, b):
     """Monic-free gcd: primitive with positive leading coefficient."""
-    if _coprime_mod_prime(a, b):
-        return Polynomial([1])
     while b:
         a, b = b, _poly_divmod(a, b)[1]
     if not a:

@@ -1,8 +1,12 @@
 """Brute-force reference computations the tests compare against.
 
-Everything here goes through plain group arithmetic, never through the
-structures under test, so a bug cannot cancel on both sides.
+Everything here goes through plain group arithmetic, or for the field
+through plain polynomial arithmetic, never through the structures under
+test, so a bug cannot cancel on both sides.
 """
+
+import math
+from fractions import Fraction
 
 
 def reduced_word_trie(system, max_len):
@@ -169,3 +173,98 @@ def root_orbits(system, roots):
         left -= orbit
         orbits.append(orbit)
     return orbits
+
+
+def horner(poly, x):
+    """poly(x) exactly, coefficients lowest-first: Horner on the
+    numerator of x, scaled by den(x)^deg, in ints where poly has ints."""
+    x = Fraction(x)
+    num, den = x.numerator, x.denominator
+    acc, scale = 0, 1
+    for c in reversed(poly):
+        acc = acc * num + c * scale
+        scale *= den
+    return Fraction(acc * den, scale)
+
+
+def sturm_chain(poly):
+    """Sturm chain of a squarefree polynomial: poly, poly', then the
+    negated remainders.  Each member is the classical one times a
+    positive rational that makes its coefficients coprime ints, which
+    changes no sign: the remainder is taken by pseudo-division, each
+    step scaling by lc(b), and the sign of those scalings is put back."""
+
+    def primitive(p):
+        den = math.lcm(*(Fraction(c).denominator for c in p))
+        ints = [int(c * den) for c in p]
+        g = math.gcd(*ints)
+        return [c // g for c in ints]
+
+    chain = [primitive(poly)]
+    chain.append(primitive([i * c for i, c in enumerate(chain[0])][1:]))
+    while len(chain[-1]) > 1:
+        a, b = list(chain[-2]), chain[-1]
+        lead, sign = b[-1], -1
+        while len(a) >= len(b):
+            top, shift = a[-1], len(a) - len(b)
+            a = [lead * c for c in a]
+            for i, bi in enumerate(b):
+                a[shift + i] -= top * bi
+            while a and a[-1] == 0:
+                a.pop()
+            if lead < 0:
+                sign = -sign
+        if not a:
+            break
+        chain.append(primitive([sign * c for c in a]))
+    return chain
+
+
+def sturm_count(chain, a, b):
+    """Distinct real roots of chain[0] in (a, b], neither a nor b a root."""
+
+    def variations(x):
+        signs = [v > 0 for v in (horner(p, x) for p in chain) if v != 0]
+        return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
+
+    return variations(a) - variations(b)
+
+
+def largest_root_interval(poly):
+    """(lo, hi) with the largest root of poly, all of whose roots lie in
+    (-2, 2), as the only root in (lo, hi]: Sturm bisection in Fractions."""
+    chain = sturm_chain(poly)
+    lo, hi = Fraction(-2), Fraction(2)
+    while sturm_count(chain, lo, hi) > 1:
+        mid = (lo + hi) / 2
+        if horner(chain[0], mid) == 0:
+            mid = (lo + mid) / 2
+        if sturm_count(chain, mid, hi) >= 1:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def sign_at_root(coeffs, poly, lo, hi):
+    """Sign of e(x) = sum(c_i x^i) at the one root x of poly in [lo, hi],
+    within [-2, 2], where e(x) vanishes only when e is zero.
+
+    On [-2, 2], |e(lo) - e(x)| <= (hi - lo) * sum(i |c_i| 2^(i-1)), so
+    once |e(lo)| exceeds that bound the two signs agree; until then the
+    interval is halved on the sign of poly.
+    """
+    if not any(coeffs):
+        return 0
+    slope = sum(i * abs(c) * 2 ** (i - 1) for i, c in enumerate(coeffs) if i)
+    lo, hi = Fraction(lo), Fraction(hi)
+    at_lo = horner(poly, lo) > 0
+    while True:
+        v = horner(coeffs, lo)
+        if abs(v) > (hi - lo) * slope:
+            return 1 if v > 0 else -1
+        mid = (lo + hi) / 2
+        if (horner(poly, mid) > 0) == at_lo:
+            lo = mid
+        else:
+            hi = mid

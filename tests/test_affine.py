@@ -191,5 +191,33 @@ def test_report_reduces_the_depth_series_once(monkeypatch):
 
     monkeypatch.setattr(RationalSeries, "__init__", counted)
     obj = affine_to_obj(affine_datum("~F4"), 8)
-    assert len(calls) == 1
+    assert len(calls) == 0
     assert obj["depth_period"] == 88
+
+
+CLOSED_FORM_PRESETS = (
+    ["~A%d" % n for n in range(2, 8)] + ["~B%d" % n for n in range(3, 7)]
+    + ["~C%d" % n for n in range(2, 7)] + ["~D%d" % n for n in range(4, 8)]
+    + ["~E6", "~E7", "~E8", "~F4", "~G2"]
+)
+
+
+def test_cyclotomic_reduction_matches_general_euclid():
+    """Dividing out the Phi_d, d | M, that divide P gives the normal form
+    the general Euclid reduction of P/(1 - q^M) gives, orbit by orbit and
+    for the combined depth and reflection series."""
+    coprime = set()
+    for name in CLOSED_FORM_PRESETS:
+        d = affine_datum(name)
+        p, m = depth_polynomial(d)
+        expect = RationalSeries(p, Polynomial([1] + [0] * (m - 1) + [-1]))
+        assert depth_series(d) == expect, name
+        refl = RationalSeries(p.substitute_power(2).shifted(1),
+                              Polynomial([1] + [0] * (2 * m - 1) + [-1]))
+        assert reflection_series(d) == refl, name
+        for i in range(len(d.orbits)):
+            o = orbit_series(d, i)
+            assert o.series() == RationalSeries(
+                o.p, Polynomial([1] + [0] * o.m + [-1])), (name, i)
+        coprime.add(expect.den.degree == m)
+    assert coprime == {True, False}

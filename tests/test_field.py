@@ -7,6 +7,7 @@ import pytest
 
 import coxkit as ck
 from coxkit.field import CyclotomicField, field_for_matrix
+from oracles import horner, sturm_chain, sturm_count
 
 
 def test_theta_matches_float_value():
@@ -140,64 +141,19 @@ def test_integer_sign_matches_the_rational_enclosure():
     assert f._lo < Fraction(1932, 1000) < f._hi
 
 
-def _fraction_isolation(L):
-    """(lo, hi, k) for 2cos(pi/L) by Sturm bisection evaluated in Fractions.
-
-    The classical chain (remainders left unscaled), Horner in Fractions,
-    the same halving and nudging rule, then the interval written over
-    the least power of two; the reference for the int version.
-    """
-    if L <= 3:
-        t = {1: -2, 2: 0, 3: 1}[L]
-        return (t - 1, t + 1, 0)
-    poly = [Fraction(c) for c in CyclotomicField(L).minpoly]
-
-    def rem(a, b):
-        a = list(a)
-        while len(a) >= len(b):
-            q = a[-1] / b[-1]
-            shift = len(a) - len(b)
-            for i, bi in enumerate(b):
-                a[shift + i] -= q * bi
-            while a and a[-1] == 0:
-                a.pop()
-        return a
-
-    chain = [poly, [i * c for i, c in enumerate(poly)][1:]]
-    while True:
-        r = rem(chain[-2], chain[-1])
-        if not r:
-            break
-        chain.append([-c for c in r])
-
-    def value(p, x):
-        acc = Fraction(0)
-        for c in reversed(p):
-            acc = acc * x + c
-        return acc
-
-    memo = {}
-
-    def variations(x):
-        if x not in memo:
-            signs = [v > 0 for v in (value(p, x) for p in chain) if v != 0]
-            memo[x] = sum(1 for u, v in zip(signs, signs[1:]) if u != v)
-        return memo[x]
-
-    lo, hi = Fraction(-2), Fraction(2)
-    while variations(lo) - variations(hi) > 1:
-        mid = (lo + hi) / 2
-        if value(poly, mid) == 0:
-            mid = (lo + mid) / 2
-        if variations(mid) - variations(hi) >= 1:
-            lo = mid
-        else:
-            hi = mid
-    assert variations(lo) - variations(hi) == 1
-    k = max(lo.denominator, hi.denominator).bit_length() - 1
-    return (int(lo * 2 ** k), int(hi * 2 ** k), k)
-
-
-def test_integer_sturm_isolation_matches_fractions():
-    for L in range(1, 121):
-        assert CyclotomicField(L)._theta == _fraction_isolation(L), L
+def test_theta_interval_is_the_closed_form_and_isolates_theta():
+    """For L >= 4 the interval is [2 - 2^-j, 2] with 2^j <= L^2/10 <
+    2^(j+1); for every L it holds the largest root of minpoly and no
+    other, counted with the Fraction Sturm chain."""
+    for L in range(1, 401):
+        f = CyclotomicField(L)
+        lo, hi = f._lo, f._hi
+        if L >= 4:
+            j = 0
+            while 10 * 2 ** (j + 1) <= L * L:
+                j += 1
+            assert (lo, hi) == (2 - Fraction(1, 2 ** j), 2), L
+        assert horner(f.minpoly, lo) and horner(f.minpoly, hi), L
+        chain = sturm_chain(f.minpoly)
+        assert sturm_count(chain, lo, hi) == 1, L
+        assert sturm_count(chain, hi, 3) == 0, L
