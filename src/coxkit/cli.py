@@ -21,7 +21,7 @@ from .automata import build_automaton, dfa_to_dot, dfa_to_obj
 from .core import CoxeterSystem, LimitExceeded, coxeter_matrix_from_descriptor, \
     format_word, is_reflection, parse_word
 from .dihedral import canonical_generators
-from .prefixes import is_reflection_prefix, palindromic_word, prefixes_of, \
+from .prefixes import _palindromic_word, _prefixes_of, is_reflection_prefix, \
     reflections_up_to
 from .roots import root_poset
 from .series import dfa_series
@@ -154,9 +154,10 @@ def cmd_reflections(args, out):
 def cmd_prefixes(args, out):
     system = _system(args.spec)
     w = system.element(parse_word(args.word, system.rank))
-    if is_reflection(w) is not None:
-        prefs = prefixes_of(system, w, limit=args.max_roots)
-        pal = palindromic_word(system, w)
+    root = is_reflection(w)
+    if root is not None:
+        prefs = _prefixes_of(system, w, root, args.max_roots)
+        pal = _palindromic_word(system, root)
         if args.json:
             obj = {
                 "reflection": format_word(w.word, system.rank),

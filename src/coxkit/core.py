@@ -259,8 +259,11 @@ def _right_mul_gen(system, rows, s):
     nbrs = system._neighbors[s]
     out = []
     for row in rows:
-        r = list(row)
         xs = row[s]
+        if not xs:
+            out.append(row)
+            continue
+        r = list(row)
         for j, c in nbrs:
             r[j] = row[j] - c * xs
         r[s] = -xs
@@ -318,18 +321,22 @@ def _inversions(system, word):
     return tuple(out)
 
 
-def _shortlex_word(system, rows, inv_rows):
-    """Canonical word by repeatedly stripping the smallest left descent."""
+def _shortlex_word(system, inv_rows):
+    """Canonical word by repeatedly stripping the smallest left descent.
+
+    The left descents of w are the negative columns of w^-1, and the
+    inverse of s w is w^-1 s, so the inverse matrix alone is carried:
+    w is the identity exactly when its inverse is.
+    """
     word = []
     idr = system._id_rows
     n = system.rank
-    while rows != idr:
+    while inv_rows != idr:
         for s in range(n):
             if _column_is_negative(inv_rows, s):
                 break
         else:
             raise ArithmeticError("matrix has no left descent yet is not 1")
-        rows = _left_mul_gen(system, rows, s)
         inv_rows = _right_mul_gen(system, inv_rows, s)
         word.append(s)
     return tuple(word)
@@ -372,12 +379,12 @@ class GroupElement:
     def __mul__(self, other):
         rows = _matmul(self.system, self.rows, other.rows)
         inv = _matmul(self.system, other.inv_rows, self.inv_rows)
-        return GroupElement(self.system, rows, inv, _shortlex_word(self.system, rows, inv))
+        return GroupElement(self.system, rows, inv, _shortlex_word(self.system, inv))
 
     def inverse(self):
         return GroupElement(
             self.system, self.inv_rows, self.rows,
-            _shortlex_word(self.system, self.inv_rows, self.rows),
+            _shortlex_word(self.system, self.rows),
         )
 
     def is_identity(self):
@@ -387,7 +394,7 @@ class GroupElement:
         """Right product with one generator."""
         rows = _right_mul_gen(self.system, self.rows, s)
         inv = _left_mul_gen(self.system, self.inv_rows, s)
-        return GroupElement(self.system, rows, inv, _shortlex_word(self.system, rows, inv))
+        return GroupElement(self.system, rows, inv, _shortlex_word(self.system, inv))
 
     def right_descents(self):
         return tuple(s for s in range(self.system.rank)
@@ -543,7 +550,7 @@ class CoxeterSystem:
                 raise ValueError("letter index %r out of range" % (s,))
             rows = _right_mul_gen(self, rows, s)
             inv = _left_mul_gen(self, inv, s)
-        return GroupElement(self, rows, inv, _shortlex_word(self, rows, inv))
+        return GroupElement(self, rows, inv, _shortlex_word(self, inv))
 
     def generator(self, s):
         return self.element((s,))

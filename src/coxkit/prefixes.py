@@ -10,7 +10,8 @@ end at the root of t.
 """
 
 from . import roots
-from .core import format_word, is_reflection
+from .core import GroupElement, _left_mul_gen, _right_mul_gen, _shortlex_word, \
+    format_word, is_reflection
 from .roots import _descend, _simple_index, root_depth, root_poset
 
 
@@ -86,45 +87,71 @@ def prefix_of_reflection(system, t):
 def prefixes_of(system, t, limit=None):
     """Every prefix of the reflection t.
 
-    Walks all saturated chains of the root poset from the root of t
+    Walks the saturated chains of the root poset from the root of t
     down to a simple root; the chain letters followed by the simple
     letter spell a prefix word.  Distinct chains can spell the same
     element, so the result is deduplicated.  limit caps the roots the
     poset may enumerate.
     """
-    root = _reflection_root(system, t)
+    return _prefixes_of(system, t, _reflection_root(system, t), limit)
+
+
+def _prefixes_of(system, t, root, limit):
+    """prefixes_of for a reflection t whose root is already known.
+
+    A state of the walk is a root with the element spelled by the chain
+    letters above it.  Two chains that reach one root with one element
+    go on alike, so each state is expanded once, and the walk grows with
+    the states, not with the chains, whose number can grow exponentially
+    with the depth.  A state carries the element's matrix and inverse,
+    one generator product each per step, and each distinct prefix is
+    stripped to its normal form once, at the end.
+    """
     dp = root_depth(system, root)
     poset = root_poset(system, max_depth=dp, limit=limit)
-    out = {}
-    stack = [(poset.index_of(root), [])]
+    leaves = {}
+    idr = system._id_rows
+    stack = [(poset.index_of(root), idr, idr)]
+    seen = set()
     while stack:
-        i, letters = stack.pop()
+        i, rows, inv = stack.pop()
         downs = poset.down[i]
         if not downs:
             s = _simple_index(system, poset.roots[i].coords)
-            p = system.element(letters + [s])
-            if p.length != dp + 1:
-                raise ArithmeticError("chain word for a prefix is not reduced")
-            if p not in out:
-                out[p] = ReflectionPrefix(p, t, root, s)
+            rows = _right_mul_gen(system, rows, s)
+            if rows not in leaves:
+                leaves[rows] = (_left_mul_gen(system, inv, s), s)
             continue
         for s, lo, _ in downs:
-            stack.append((lo, letters + [s]))
-    return sorted(out.values(), key=lambda pre: pre.element.word)
+            head = _right_mul_gen(system, rows, s)
+            if (lo, head) not in seen:
+                seen.add((lo, head))
+                stack.append((lo, head, _left_mul_gen(system, inv, s)))
+    out = []
+    for rows, (inv, s) in leaves.items():
+        p = GroupElement(system, rows, inv, _shortlex_word(system, inv))
+        if p.length != dp + 1:
+            raise ArithmeticError("chain word for a prefix is not reduced")
+        out.append(ReflectionPrefix(p, t, root, s))
+    return sorted(out, key=lambda pre: pre.element.word)
 
 
-def _palindrome(system, ups, r):
-    """The palindromic reduced word of the reflection whose root descends
-    by the letters ups to the simple root r: the normal form p of the
-    prefix ups + [r], followed by p without r, reversed."""
-    w = system.element(ups + [r]).word
-    return w + w[:-1][::-1]
+def _palindrome(prefix_word):
+    """The palindromic word p + reverse(p without its last letter) of the
+    reflection with prefix word p."""
+    return prefix_word + prefix_word[:-1][::-1]
 
 
 def palindromic_word(system, t):
     """A reduced word for the reflection t of the shape u r reverse(u)."""
-    steps, r = _descend(system, _reflection_root(system, t))
-    return _palindrome(system, [s for s, _ in steps], r)
+    return _palindromic_word(system, _reflection_root(system, t))
+
+
+def _palindromic_word(system, root):
+    """palindromic_word of the reflection through root: the normal form
+    of the prefix its greedy descent spells, closed up."""
+    steps, r = _descend(system, root)
+    return _palindrome(system.element([s for s, _ in steps] + [r]).word)
 
 
 def reflections_up_to(system, max_length, limit=None):
@@ -135,24 +162,29 @@ def reflections_up_to(system, max_length, limit=None):
     root of depth k has length 2k + 1, so the roots of depth at most
     (max_length - 1) // 2 give them all; limit caps that enumeration.
     The greedy descent of each root is read off the poset: its first
-    letter is the least letter of a lower cover, and the rest is the
-    descent of that cover, found earlier in breadth-first order.
+    letter s is the least letter of a lower cover, and the rest is the
+    descent of that cover, found earlier in breadth-first order.  So
+    t = s t' s for the cover's reflection t', and the prefix p the
+    descent spells is s p', with inverse p'^-1 s: two generator
+    products for t, which is its own inverse, and one for p^-1, each
+    stripped to its normal form once.
     """
     if max_length < 1:
         return []
     poset = root_poset(system, max_depth=(max_length - 1) // 2, limit=limit)
-    descents = []
+    mats = []
     out = []
     for i, downs in enumerate(poset.down):
         if downs:
             s, lo, _ = min(downs)
-            ups, r = descents[lo]
-            ups = [s] + ups
+            rows, p_inv = mats[lo]
+            rows = _right_mul_gen(system, _left_mul_gen(system, rows, s), s)
+            p_inv = _right_mul_gen(system, p_inv, s)
         else:
-            ups, r = [], i
-        descents.append((ups, r))
-        t = system.element(ups + [r] + ups[::-1])
-        out.append((t, _palindrome(system, ups, r)))
+            rows = p_inv = _right_mul_gen(system, system._id_rows, i)
+        mats.append((rows, p_inv))
+        t = GroupElement(system, rows, rows, _shortlex_word(system, rows))
+        out.append((t, _palindrome(_shortlex_word(system, p_inv))))
     out.sort(key=lambda pair: (pair[0].length, pair[0].word))
     return out
 

@@ -19,7 +19,7 @@ and the roots it dominates.
 from __future__ import annotations
 
 from .core import LimitExceeded, _inversions
-from .field import AlgebraicNumber, exact, sign
+from .field import sign
 
 
 class Root:
@@ -38,28 +38,6 @@ class Root:
         return "Root(%r, depth=%d, dpinf=%d)" % (self.coords, self.depth, self.dpinf)
 
 
-def _entry_digit(x):
-    if isinstance(x, AlgebraicNumber):
-        if not x.is_rational():
-            return None
-        x = x.rational()
-    x = exact(x)
-    if type(x) is not int or not 0 <= x <= 9:
-        return None
-    return str(x)
-
-
-def _label(coords):
-    """The digits of the coordinates when each is one, else the tuple."""
-    digits = []
-    for x in coords:
-        d = _entry_digit(x)
-        if d is None:
-            return "(" + ", ".join(str(x) for x in coords) + ")"
-        digits.append(d)
-    return "".join(digits)
-
-
 class RootPoset:
     """Roots in breadth-first depth order together with the cover edges.
 
@@ -69,13 +47,13 @@ class RootPoset:
     roots below an m-small root are m-small themselves.
     """
 
-    def __init__(self, system, roots, edges, msmall, depth_cap):
+    def __init__(self, system, roots, edges, msmall, depth_cap, index):
         self.system = system
         self.roots = roots
         self.edges = edges
         self.msmall = msmall
         self.depth_cap = depth_cap
-        self.index = {r.coords: r.index for r in roots}
+        self.index = index  # coords -> root index
         self._labels = None
         self.up = [[] for _ in roots]
         self.down = [[] for _ in roots]
@@ -96,9 +74,33 @@ class RootPoset:
         return self.labels()[i]
 
     def labels(self):
-        """The label of every root, in index order; built once."""
+        """The label of every root, in index order; built once.
+
+        A label is the digits of the coordinates when each is an integer
+        0..9, else the tuple; str of an int, a Fraction or an
+        AlgebraicNumber is one digit exactly for those values.  A root
+        differs from a lower cover only in the coordinate of the cover's
+        letter, so each root formats that one coordinate and takes the
+        others' text from the cover.
+        """
         if self._labels is None:
-            self._labels = [_label(r.coords) for r in self.roots]
+            texts = []
+            labels = []
+            for r in self.roots:
+                downs = self.down[r.index]
+                if downs:
+                    s, lo, _ = downs[0]
+                    text = list(texts[lo])
+                    text[s] = str(r.coords[s])
+                else:
+                    text = [str(x) for x in r.coords]
+                texts.append(text)
+                digits = "".join(text)
+                if len(digits) == len(text) and digits.isdigit():
+                    labels.append(digits)
+                else:
+                    labels.append("(" + ", ".join(text) + ")")
+            self._labels = labels
         return self._labels
 
     def to_dot(self):
@@ -169,7 +171,7 @@ def root_poset(system, max_depth=None, msmall=None, limit=None):
                 edges.append((beta.index, gr.index, s, is_long))
         frontier = nxt
         depth += 1
-    return RootPoset(system, roots, edges, msmall, max_depth)
+    return RootPoset(system, roots, edges, msmall, max_depth, index)
 
 
 def m_small_roots(system, m):

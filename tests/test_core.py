@@ -65,16 +65,37 @@ def test_identity_and_generators():
 
 
 def test_element_word_is_shortlex_minimal():
-    """The stored word is the lexicographically first reduced word."""
-    sysm = system("A3")
-    best = {}
-    for word, el in reduced_word_trie(sysm, 6):
-        if el not in best or word < best[el]:
-            best[el] = word
-    assert len(best) == 24
-    for el, word in best.items():
-        assert el.word == word
-        assert el.length == len(word)
+    """The stored word is the lexicographically first reduced word,
+    whichever constructor built the element: a word, a product, an
+    inverse or a product with one generator."""
+    rng = random.Random(4)
+    for name, max_len, size in (("A3", 6, 24), ("H3", 8, None), ("~A2", 7, None)):
+        sysm = system(name)
+        best = {}
+        for word, el in reduced_word_trie(sysm, max_len):
+            if el not in best or word < best[el]:
+                best[el] = word
+        if size is not None:
+            assert len(best) == size
+
+        def check(el):
+            assert el.length <= max_len
+            assert el.word == best[el]
+            assert el.length == len(best[el])
+
+        elements = list(best)
+        for el, word in best.items():
+            check(el)
+            check(sysm.element(word))
+            check(el.inverse())
+            for s in range(sysm.rank):
+                x = el.times_gen(s)
+                if x.length <= max_len:
+                    check(x)
+        for _ in range(300):
+            a, b = rng.choice(elements), rng.choice(elements)
+            if a.length + b.length <= max_len:
+                check(a * b)
 
 
 def test_length_is_inversion_count():

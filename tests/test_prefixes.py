@@ -70,6 +70,41 @@ def test_prefixes_of_listing():
         assert q is not None and q.reflection == t
 
 
+@pytest.mark.parametrize("name, max_length", [
+    ("H3", 15), ("B4", 11), ("~A2", 11), ("~G2", 11), ("U3", 9),
+    ("[[1,3,3],[3,1,4],[3,4,1]]", 9),
+])
+def test_prefixes_of_matches_brute_force(name, max_length):
+    """prefixes_of(t) is every p with l(p) = dp + 1 that is a prefix by
+    definition and closes up to t, found by testing the Cayley ball."""
+    sysm = system(name)
+    ball = ck.cayley_bfs(sysm, max_length=(max_length + 1) // 2)
+    closure = {}
+    for p in ball:
+        if is_prefix_brute(sysm, p):
+            r = p.right_descents()[0]
+            closure[p] = (p * sysm.generator(r) * p.inverse(), r)
+    # every reflection of length <= max_length closes up from a prefix
+    # in the ball, since l(p) = (l(t) + 1) / 2
+    refs = {c for c, _ in closure.values() if c.length <= max_length}
+    assert len(refs) >= 9
+    for t in refs:
+        root = ck.is_reflection(t)
+        assert root is not None
+        dp = ck.root_depth(sysm, root)
+        assert t.length == 2 * dp + 1
+        want = {p: r for p, (c, r) in closure.items()
+                if p.length == dp + 1 and c == t}
+        got = ck.prefixes_of(sysm, t)
+        assert {pre.element: pre.descent for pre in got} == want
+        assert len(got) == len(want)
+        for pre in got:
+            assert pre.reflection == t
+            assert pre.root == root
+            w = sysm.element(pre.element.word)
+            assert pre.element == w and pre.element.inv_rows == w.inv_rows
+
+
 def test_prefixes_of_rejects_non_reflections():
     sysm = system("A3")
     with pytest.raises(ValueError):
@@ -132,6 +167,10 @@ def test_reflections_from_roots_match_the_ball(capsys, name, max_length):
     want = _ball_reflections(sysm, max_length)
     got = ck.reflections_up_to(sysm, max_length)
     assert [(t.word, pal) for t, pal in got] == [(w.word, pal) for w, pal in want]
+    # the census builds its matrices from the lower covers, not from words
+    for (t, _), (w, _) in zip(got, want):
+        assert t == w
+        assert t.inv_rows == w.inv_rows
 
     counts = [0] * (max_length + 1)
     for t, _ in got:
