@@ -35,28 +35,15 @@ def _norm_vector(letter, n):
 
 def _gram_from_norms(matrix, norms):
     """Symmetric bilinear form with the given squared norms on the
-    diagonal; only bonds 2, 3, 4, 6 admit one."""
+    diagonal and B(a_i, a_j) = -max(|a_i|^2, |a_j|^2)/2 across every bond
+    other than 2: the crystallographic value for bonds 3, 4 and 6.
+    CoxeterSystem rejects the form wherever a bond and its norms disagree.
+    """
     rank = matrix.rank
-    g = [[Fraction(0)] * rank for _ in range(rank)]
-    for i in range(rank):
-        g[i][i] = Fraction(norms[i])
-    for i in range(rank):
-        for j in range(i + 1, rank):
-            m = matrix.entry(i, j)
-            if m == 2:
-                continue
-            pair = {norms[i], norms[j]}
-            if m == 3 and norms[i] == norms[j]:
-                v = -Fraction(norms[i], 2)
-            elif m == 4 and pair == {1, 2}:
-                v = Fraction(-1)
-            elif m == 6 and pair == {1, 3}:
-                v = Fraction(-3, 2)
-            else:
-                raise ValueError("bond %d with norms %s is not crystallographic"
-                                 % (m, sorted(pair)))
-            g[i][j] = g[j][i] = v
-    return g
+    return [[Fraction(norms[i]) if i == j
+             else Fraction(0) if matrix.entry(i, j) == 2
+             else -Fraction(max(norms[i], norms[j]), 2)
+             for j in range(rank)] for i in range(rank)]
 
 
 class AffineDatum:

@@ -11,7 +11,7 @@ on, so a walk may stop as soon as it climbs past its cap.
 
 from fractions import Fraction
 
-from .core import _inversions, _plain
+from .core import _inversions, _matmul, _plain
 from .field import bond_lcm, exact
 from .prefixes import _reflection_root
 from .roots import Root, _descend, dominance_set, reflection_from_root, root_depth, \
@@ -101,12 +101,13 @@ def subgroup_inversions(system, p, r, t):
 
 
 def _product_order(u, v, bound):
-    g = u * v
-    acc = g
+    """Order of uv, or 0 past bound; powers are taken on matrix rows."""
+    system = u.system
+    g = acc = _matmul(system, u.rows, v.rows)
     for k in range(1, bound + 1):
-        if acc.is_identity():
+        if acc == system._id_rows:
             return k
-        acc = acc * g
+        acc = _matmul(system, acc, g)
     return 0
 
 

@@ -46,27 +46,6 @@ def _poly_trim(c):
     return c
 
 
-def _poly_divmod(a, b):
-    """Exact division with remainder, coefficients lowest-first."""
-    a = [Fraction(x) for x in a]
-    b = _poly_trim([Fraction(x) for x in b])
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    lead = b[-1]
-    r = list(a)
-    for i in range(len(a) - len(b), -1, -1):
-        if len(r) < len(b) + i:
-            continue
-        coeff = r[len(b) + i - 1] / lead
-        if coeff == 0:
-            continue
-        q[i] = coeff
-        for j, bj in enumerate(b):
-            r[i + j] -= coeff * bj
-    return _poly_trim(q), _poly_trim(r)
-
-
 def _poly_mul_into(prod, a, b):
     """prod[i + j] += a[i] * b[j], skipping zero coefficients."""
     for i, ai in enumerate(a):
@@ -77,8 +56,8 @@ def _poly_mul_into(prod, a, b):
 
 
 def divmod_monic(a, b):
-    """Quotient and remainder of int polynomials (lowest-first) by a
-    monic b; both stay int, as no step divides."""
+    """Quotient and remainder of polynomials (lowest-first) by a monic b:
+    exact for any coefficients, as no step divides, so ints in give ints out."""
     n = len(b) - 1
     terms = [(j, c) for j, c in enumerate(b[:-1]) if c]
     r = list(a)
@@ -89,6 +68,17 @@ def divmod_monic(a, b):
             for j, bj in terms:
                 r[i + j] -= c * bj
     return q, _poly_trim(r[:n])
+
+
+def _poly_divmod(a, b):
+    """Exact division with remainder by a nonzero b, lowest-first: divmod_monic
+    by b scaled to lead 1, quotient scaled back; every coefficient out is a Fraction."""
+    b = _poly_trim(b)
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    lead = Fraction(b[-1])
+    q, r = divmod_monic([Fraction(x) for x in a], [c / lead for c in b])
+    return _poly_trim([c / lead for c in q]), r
 
 
 def _mobius(n):
@@ -181,15 +171,6 @@ def _dyadic_eval(poly, lo, hi, k):
     return alo, ahi
 
 
-def _dyadic_sign(poly, x, k):
-    """Sign of an int polynomial at x/2^k: Horner on 2^(k*deg) * poly."""
-    d = len(poly) - 1
-    v = poly[-1]
-    for i in range(d - 1, -1, -1):
-        v = v * x + (poly[i] << (k * (d - i)))
-    return (v > 0) - (v < 0)
-
-
 class CyclotomicField:
     """The field Q(theta), theta = 2cos(pi/L), with exact sign determination.
 
@@ -269,7 +250,10 @@ class CyclotomicField:
         """Halve the isolating interval once (sign change pinned on minpoly)."""
         lo, hi, k = self._theta
         mid = lo + hi  # the midpoint, at scale 2^(k+1)
-        if _dyadic_sign(self.minpoly, mid, k + 1) == _dyadic_sign(self.minpoly, lo, k):
+        # one-point enclosures are exact values, never 0: minpoly has no rational root
+        at_mid, _ = _dyadic_eval(self.minpoly, mid, mid, k + 1)
+        at_lo, _ = _dyadic_eval(self.minpoly, lo, lo, k)
+        if (at_mid > 0) == (at_lo > 0):
             self._theta = (mid, 2 * hi, k + 1)
         else:
             self._theta = (2 * lo, mid, k + 1)
@@ -285,8 +269,9 @@ class CyclotomicField:
             return self.from_rational(0)
         if m < 1 or self.L % m:
             raise ValueError(f"bond {m} does not divide L = {self.L}")
-        double = self._reduce(chebyshev_c(self.L // m))  # 2cos(pi/m), in Z[theta]
-        return AlgebraicNumber(self, tuple(exact(Fraction(c, 2)) for c in double.coeffs))
+        _, double = divmod_monic(chebyshev_c(self.L // m), self.minpoly)  # 2cos(pi/m)
+        double += [0] * (self.degree - len(double))
+        return AlgebraicNumber(self, tuple(exact(Fraction(c, 2)) for c in double))
 
     def dot(self, xs, ys):
         """sum(x * y for x, y in zip(xs, ys)), reduced once at the end.
@@ -300,29 +285,18 @@ class CyclotomicField:
         return self._reduce(prod)
 
     def _reduce(self, coeffs):
-        """Reduce an arbitrary-length coefficient vector mod minpoly."""
+        """Reduce at most 2*degree - 1 coefficients, as many as a product of
+        two reduced elements has, mod minpoly through the table."""
         d = self.degree
         n = len(coeffs)
         if n <= d:
             return AlgebraicNumber(self, tuple(coeffs) + (0,) * (d - n))
-        if d == 1:
-            # substitute the rational theta directly
-            t = self.theta_rational
-            acc = 0
-            for c in reversed(coeffs):
-                acc = acc * t + c
-            coeffs = [acc]
-        elif n > 2 * d - 1:
-            # beyond the table; one exact division suffices
-            _, r = _poly_divmod(coeffs, list(self.minpoly))
-            coeffs = [exact(c) for c in r] + [0] * (d - len(r))
-        else:
-            coeffs = list(coeffs)
-            for k in range(n - 1, d - 1, -1):
-                c = coeffs[k]
-                if c:
-                    for i, r in self._reduction[k - d]:
-                        coeffs[i] += c * r
+        coeffs = list(coeffs)
+        for k in range(n - 1, d - 1, -1):
+            c = coeffs[k]
+            if c:
+                for i, r in self._reduction[k - d]:
+                    coeffs[i] += c * r
         return AlgebraicNumber(self, tuple(coeffs[:d]))
 
     def __repr__(self):
@@ -407,12 +381,8 @@ class AlgebraicNumber:
             # a rational scales every coefficient
             return AlgebraicNumber(f, tuple([other * a for a in self.coeffs]))
         other = self._coerce(other)
-        a, b = self.coeffs, other.coeffs
-        d = f.degree
-        if d == 1:
-            return AlgebraicNumber(f, (a[0] * b[0],))
-        prod = [0] * (2 * d - 1)
-        _poly_mul_into(prod, a, b)
+        prod = [0] * (2 * f.degree - 1)
+        _poly_mul_into(prod, self.coeffs, other.coeffs)
         return f._reduce(prod)
 
     __rmul__ = __mul__
@@ -427,8 +397,6 @@ class AlgebraicNumber:
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisionError("division by zero field element")
-        if self.field.degree == 1:
-            return AlgebraicNumber(self.field, (exact(Fraction(1) / self.coeffs[0]),))
         # extended Euclid: u*self + v*minpoly = 1 in Q[x]
         a = list(self.field.minpoly)
         b = _poly_trim(self.coeffs)
@@ -438,16 +406,8 @@ class AlgebraicNumber:
             if not r:
                 break
             # s_next = s0 - q*s1
-            qs = [Fraction(0)] * (len(q) + len(s1) - 1)
-            for i, qi in enumerate(q):
-                if qi:
-                    for j, sj in enumerate(s1):
-                        qs[i + j] += qi * sj
-            s_next = [Fraction(0)] * max(len(s0), len(qs))
-            for i, c in enumerate(s0):
-                s_next[i] += c
-            for i, c in enumerate(qs):
-                s_next[i] -= c
+            s_next = s0 + [0] * (len(q) + len(s1) - 1 - len(s0))
+            _poly_mul_into(s_next, [-c for c in q], s1)
             a, b = b, r
             s0, s1 = s1, _poly_trim(s_next) or [Fraction(0)]
         if len(b) != 1:

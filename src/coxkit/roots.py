@@ -18,7 +18,8 @@ and the roots it dominates.
 
 from __future__ import annotations
 
-from .core import LimitExceeded, _inversions
+from .core import GroupElement, LimitExceeded, _inversions, _left_mul_gen, _right_mul_gen, \
+    _shortlex_word
 from .field import sign
 
 
@@ -255,14 +256,17 @@ def root_dpinf(system, coords):
 def reflection_from_root(system, coords):
     """The reflection through a positive root, as a group element.
 
-    Walks the root down to a simple one; each step lowers depth by 1,
-    so the word u t u^-1 built on the way is reduced.
+    Walks the root down to a simple one r, each step lowering depth by 1,
+    then conjugates s_r back up, t = s t' s per step: the word u r u^-1 is
+    reduced, and t is its own inverse, so one matrix serves for both.
     """
     if system.mode == "unitary" and system.norm_sq(coords) != system.one:
         raise ValueError("roots have unit norm in this representation")
-    steps, t = _descend(system, coords)
-    ups = [s for s, _ in steps]
-    return system.element(ups + [t] + ups[::-1])
+    steps, r = _descend(system, coords)
+    rows = _right_mul_gen(system, system._id_rows, r)
+    for s, _ in reversed(steps):
+        rows = _right_mul_gen(system, _left_mul_gen(system, rows, s), s)
+    return GroupElement(system, rows, rows, _shortlex_word(system, rows))
 
 
 def dominates(system, beta, alpha):

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .automata import count_by_length, is_acyclic
 from .core import LimitExceeded
-from .field import _poly_divmod as _coeff_divmod, _poly_trim, exact
+from .field import _poly_divmod as _coeff_divmod, _poly_mul_into, _poly_trim, exact
 
 
 class Polynomial:
@@ -62,11 +62,8 @@ class Polynomial:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Polynomial()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
+        out = [0] * (len(a) + len(b) - 1)
+        _poly_mul_into(out, a, b)
         return Polynomial(out)
 
     __rmul__ = __mul__

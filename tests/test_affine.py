@@ -6,7 +6,7 @@ import pytest
 
 import coxkit as ck
 from coxkit.affine import (
-    AffineDatum, affine_datum, affine_slice, affine_to_obj, depth_polynomial,
+    AffineDatum, _gram_from_norms, affine_datum, affine_slice, affine_to_obj, depth_polynomial,
     depth_series, orbit_series, reflection_series,
 )
 from coxkit.series import Polynomial, RationalSeries, is_palindromic
@@ -23,6 +23,14 @@ def test_non_affine_names_rejected():
     for name in ("A3", "H3", "I2(inf)", "U3"):
         with pytest.raises(ValueError):
             affine_datum(name)
+
+
+@pytest.mark.parametrize("m, norms", [(3, (1, 2)), (4, (1, 1)), (4, (1, 3)),
+                                      (6, (1, 2)), (5, (1, 1))])
+def test_gram_from_norms_rejects_a_bond_its_norms_do_not_fit(m, norms):
+    mat = ck.CoxeterMatrix([[1, m], [m, 1]])
+    with pytest.raises(ValueError, match="disagrees with the Coxeter matrix"):
+        ck.CoxeterSystem(matrix=mat, gram=_gram_from_norms(mat, norms))
 
 
 def test_datum_shape_a2():

@@ -8,6 +8,7 @@ import pytest
 import coxkit as ck
 from coxkit.affine import affine_datum
 from coxkit.field import AlgebraicNumber
+from coxkit.roots import _descend
 from oracles import reduced_word_trie
 
 
@@ -195,6 +196,19 @@ def test_reflection_round_trip():
         assert ck.reflection_from_root(sysm, root) == w
         assert w * w == sysm.identity
     assert seen == 9
+
+
+@pytest.mark.parametrize("name", ["H3", "~A2", "~G2", "U3"])
+def test_reflection_from_root_is_the_element_of_its_word(name):
+    """Conjugating along the descent gives the element of the word
+    u r u^-1, with the same matrices and normal form."""
+    sysm = system(name)
+    for root in ck.root_poset(sysm, max_depth=6).roots:
+        steps, r = _descend(sysm, root.coords)
+        ups = [s for s, _ in steps]
+        w = sysm.element(ups + [r] + ups[::-1])
+        t = ck.reflection_from_root(sysm, root.coords)
+        assert (t.rows, t.inv_rows, t.word) == (w.rows, w.inv_rows, w.word)
 
 
 def test_reflection_from_root_rejects_scaled_vector():

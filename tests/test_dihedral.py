@@ -76,21 +76,23 @@ def test_canonical_pair_generates_the_same_group():
 
 
 def test_order_matches_product():
-    sysm = system("B3")
-    rng = random.Random(4)
-    refs = reflections_in_ball(sysm, 9)
-    for _ in range(25):
-        r, t = rng.sample(refs, 2)
-        sub = ck.canonical_generators(sysm, r, t)
-        c1, c2 = sub.canonical
-        assert sub.order_m > 0
-        g = c1 * c2
-        acc = g
-        k = 1
-        while not acc.is_identity():
-            acc = acc * g
-            k += 1
-        assert k == sub.order_m
+    # H3's matrices lie over Q(2cos(pi/5)), B3's over Q
+    for name, seed in (("B3", 4), ("H3", 7)):
+        sysm = system(name)
+        rng = random.Random(seed)
+        refs = reflections_in_ball(sysm, 9)
+        for _ in range(25):
+            r, t = rng.sample(refs, 2)
+            sub = ck.canonical_generators(sysm, r, t)
+            c1, c2 = sub.canonical
+            assert sub.order_m > 0
+            g = c1 * c2
+            acc = g
+            k = 1
+            while not acc.is_identity():
+                acc = acc * g
+                k += 1
+            assert k == sub.order_m
 
 
 def test_infinite_order_flagged_zero():

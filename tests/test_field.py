@@ -1,12 +1,13 @@
 """Exact real cyclotomic arithmetic."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 import coxkit as ck
-from coxkit.field import CyclotomicField, field_for_matrix
+from coxkit.field import CyclotomicField, _poly_divmod, field_for_matrix
 from oracles import horner, sturm_chain, sturm_count
 
 
@@ -157,3 +158,73 @@ def test_theta_interval_is_the_closed_form_and_isolates_theta():
         chain = sturm_chain(f.minpoly)
         assert sturm_count(chain, lo, hi) == 1, L
         assert sturm_count(chain, hi, 3) == 0, L
+
+
+def test_cos_pi_over_is_the_right_conjugate_for_every_divisor():
+    """For every L in 4..120 and m | L with m >= 3, y = 2cos_pi_over(m)
+    has C_m(y) = 2cos(pi) = -2, by the Chebyshev recurrence in the field,
+    and lies within 1e-9 of 2cos(pi/m), which tells it from the other
+    roots of C_m + 2."""
+    pairs = 0
+    for L in range(4, 121):
+        f = CyclotomicField(L)
+        for m in range(3, L + 1):
+            if L % m:
+                continue
+            c = f.cos_pi_over(m)
+            y = c * 2
+            prev, cur = f.from_rational(2), y
+            for _ in range(m - 1):
+                prev, cur = cur, y * cur - prev
+            assert cur == f.from_rational(-2), (L, m)
+            near = Fraction(math.cos(math.pi / m))
+            eps = Fraction(1, 10 ** 9)
+            assert (c - (near - eps)).sign() == 1, (L, m)
+            assert ((near + eps) - c).sign() == 1, (L, m)
+            pairs += 1
+    assert pairs == 421
+
+
+def _product(a, b):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _trimmed(c):
+    c = list(c)
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_poly_divmod_by_any_nonzero_divisor(seed):
+    """a == q*b + r with deg r < deg b, for int and Fraction coefficients
+    and divisors whose leading coefficient is not 1."""
+    rng = random.Random(seed)
+
+    def coeff():
+        if rng.random() < 0.5:
+            return rng.randint(-9, 9)
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+
+    a = [coeff() for _ in range(rng.randint(0, 9))]
+    b = [coeff() for _ in range(rng.randint(0, 5))]
+    b.append(rng.choice([2, -3, 5, Fraction(-7, 2), Fraction(3, 4)]))
+    q, r = _poly_divmod(a, b)
+    assert len(r) < len(b)
+    assert all(type(c) is Fraction for c in q + r)
+    total = _product(q, b)
+    total += [0] * (len(r) - len(total))
+    for i, c in enumerate(r):
+        total[i] += c
+    assert _trimmed(total) == _trimmed(a)
+
+
+def test_poly_divmod_by_zero_raises():
+    for b in ([], [0], [0, Fraction(0)]):
+        with pytest.raises(ZeroDivisionError):
+            _poly_divmod([1, 2, 3], b)
