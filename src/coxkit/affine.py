@@ -181,16 +181,23 @@ class OrbitSeries:
 
 
 def orbit_series(datum, orbit_index):
-    """Depth polynomial of the slice {a, delta - a : a in the orbit}."""
+    """Depth polynomial of the slice {a, delta - a : a in the orbit}.
+
+    The root a at level 0 has its finite depth: s_0 is never a descent
+    along its walk down, since B(b, a_0) = -B(b, omega) <= 0 for every
+    positive finite root b, the highest root omega being dominant.  So
+    only delta - a is walked down.
+    """
     cached = datum._orbit_cache.get(orbit_index)
     if cached is not None:
         return cached
     depths = {}
     for i in datum.orbits[orbit_index]:
-        a = datum.finite_poset.roots[i].coords
-        for coords in (tuple(a) + (0,),
-                       tuple(w - c for w, c in zip(datum.omega, a)) + (1,)):
-            depths[datum.root_rep(coords)] = root_depth(datum.system, coords)
+        root = datum.finite_poset.roots[i]
+        a = root.coords
+        depths[datum.root_rep(tuple(a) + (0,))] = root.depth
+        coords = tuple(w - c for w, c in zip(datum.omega, a)) + (1,)
+        depths[datum.root_rep(coords)] = root_depth(datum.system, coords)
     m = max(depths.values())
     counts = [0] * (m + 1)
     for d in depths.values():

@@ -5,16 +5,17 @@ censuses, reflection-prefixes, dihedral reflection subgroups, and the
 affine closed forms.  Output is deterministic; --json switches every
 subcommand to a machine-readable report.
 
-Exit codes: 0 on success, 1 for an internal error, 2 for bad input, 3
-when a resource cap is hit, 4 for domain errors such as a word that is
-not a reflection.
+`main(argv)` returns the exit code and never raises SystemExit: 0 on
+success and for --help, 1 for an internal error, 2 for bad input
+(argparse's usage errors included), 3 when a resource cap is hit, 4 for
+domain errors such as a word that is not a reflection.
 """
 
 import argparse
 import functools
-import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .affine import affine_datum, affine_to_obj
 from .automata import build_automaton, dfa_to_dot, dfa_to_obj
@@ -54,6 +55,45 @@ def _write_file(path, text):
         raise ValueError("cannot write %s: %s" % (path, exc.strerror or exc))
 
 
+# encoders of the JSON scalars, by exact type, as json.dumps writes them
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: lambda x: "true" if x else "false",
+    type(None): lambda x: "null",
+}
+
+
+def _json(obj, indent="\n"):
+    """The text of json.dumps(obj, indent=2), for dicts with str keys,
+    lists and tuples over str, int, bool and None (exactly these types);
+    any other type raises TypeError.
+
+    A recursive join that writes scalars in place: strings, keys too, go
+    through the C escaper (which rejects a key that is not a str) and
+    ints through int.__repr__, as in the json module, whose indenting
+    encoder is pure Python.
+    """
+    enc = _SCALARS.get(type(obj))
+    if enc is not None:
+        return enc(obj)
+    inner = indent + "  "
+    if type(obj) is dict:
+        opening, closing = "{", "}"
+        items = [encode_basestring_ascii(k) + ": "
+                 + (_SCALARS[type(v)](v) if type(v) in _SCALARS else _json(v, inner))
+                 for k, v in obj.items()]
+    elif type(obj) is list or type(obj) is tuple:
+        opening, closing = "[", "]"
+        items = [_SCALARS[type(x)](x) if type(x) in _SCALARS else _json(x, inner)
+                 for x in obj]
+    else:
+        raise TypeError("Object of type %s is not JSON serializable" % type(obj).__name__)
+    if not items:
+        return opening + closing
+    return opening + inner + ("," + inner).join(items) + indent + closing
+
+
 def _print_series(name, obj, out):
     """Text form of a series report: num, den and the coefficients."""
     out.write("%s: num %s den %s\n" % (name, obj["num"], obj["den"]))
@@ -84,7 +124,7 @@ def cmd_roots(args, out):
                 for lo, hi, s, longe in poset.edges
             ],
         }
-        out.write(json.dumps(obj, indent=2) + "\n")
+        out.write(_json(obj) + "\n")
         return 0
     by_depth = {}
     for i, r in enumerate(poset.roots):
@@ -115,7 +155,7 @@ def cmd_automaton(args, out):
         obj = dfa_to_obj(dfa)
         if series is not None:
             obj["series"] = series
-        out.write(json.dumps(obj, indent=2) + "\n")
+        out.write(_json(obj) + "\n")
         return 0
     out.write("kind=%s m=%d\n" % (dfa.kind, dfa.m))
     out.write("states: %d (distinct small sets: %d), final: %d, transitions: %d\n"
@@ -138,7 +178,7 @@ def cmd_reflections(args, out):
             }
             for t, pal in rows
         ]
-        out.write(json.dumps(obj, indent=2) + "\n")
+        out.write(_json(obj) + "\n")
         return 0
     counts = {}
     for t, pal in rows:
@@ -164,7 +204,7 @@ def cmd_prefixes(args, out):
                 "palindrome": format_word(pal, system.rank),
                 "prefixes": [format_word(p.element.word, system.rank) for p in prefs],
             }
-            out.write(json.dumps(obj, indent=2) + "\n")
+            out.write(_json(obj) + "\n")
             return 0
         out.write("reflection %s, palindromic word %s\n"
                   % (format_word(w.word, system.rank), format_word(pal, system.rank)))
@@ -180,7 +220,7 @@ def cmd_prefixes(args, out):
         obj = {"word": format_word(w.word, system.rank), "is_prefix": pref is not None}
         if pref is not None:
             obj["reflection"] = format_word(pref.reflection.word, system.rank)
-        out.write(json.dumps(obj, indent=2) + "\n")
+        out.write(_json(obj) + "\n")
         return 0
     if pref is None:
         out.write("%s: not a reflection-prefix\n" % format_word(w.word, system.rank))
@@ -208,7 +248,7 @@ def cmd_dihedral(args, out):
             "canonical": [format_word(c.word, system.rank) for c in (c1, c2)],
             "order_m": sub.order_m,
         }
-        out.write(json.dumps(obj, indent=2) + "\n")
+        out.write(_json(obj) + "\n")
         return 0
     m = sub.order_m if sub.order_m else "infinite-or-large"
     out.write("canonical generators: {%s, %s}, m = %s\n"
@@ -219,7 +259,7 @@ def cmd_dihedral(args, out):
 def cmd_affine(args, out):
     obj = affine_to_obj(affine_datum(args.type), args.terms)
     if args.json:
-        out.write(json.dumps(obj, indent=2) + "\n")
+        out.write(_json(obj) + "\n")
         return 0
     out.write("type %s, %d positive finite roots, highest root (%s)\n"
               % (obj["type"], obj["positive_roots"], ", ".join(obj["highest_root"])))
@@ -325,7 +365,10 @@ def _apply_mem_cap():
 def main(argv=None):
     try:
         _apply_mem_cap()
-        args = _parser().parse_args(argv)
+        try:
+            args = _parser().parse_args(argv)
+        except SystemExit as exc:  # --help (0) or a usage error (2)
+            return exc.code
         return args.func(args, sys.stdout)
     except DomainError as exc:
         sys.stderr.write("error: %s\n" % exc)

@@ -487,6 +487,11 @@ class CoxeterSystem:
                   for j in range(n) if j != s and self.gram[s][j] != 0)
             for s in range(n)
         )
+        # the same coefficients by column: (t, pairing(a_s, t)) = (t, c_ts), t != s
+        self._columns = tuple(
+            tuple((t, c) for t in range(n) for j, c in self._neighbors[t] if j == s)
+            for s in range(n)
+        )
         self._id_rows = tuple(
             tuple(self.one if i == j else self.zero for j in range(n))
             for i in range(n)

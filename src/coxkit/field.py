@@ -155,19 +155,23 @@ def _minpoly_from_cyclotomic(L):
 
 
 def _dyadic_eval(poly, lo, hi, k):
-    """Enclosure of 2^(k*deg) * poly(x) over x in [lo/2^k, hi/2^k].
+    """Enclosure of 2^(k*deg) * poly(x) over x in [lo/2^k, hi/2^k], for
+    int endpoints 0 <= lo <= hi.
 
     Interval Horner on int coefficients and int endpoints: the term of
     degree i is scaled by 2^(k*(deg-i)), so every step stays integral and
-    the enclosure is the rational one times 2^(k*deg).
+    the enclosure is the rational one times 2^(k*deg).  As x >= 0, a*x is
+    least at the lower end a = alo and greatest at a = ahi, each at the
+    end of [lo, hi] its sign picks: two products per step, the same
+    enclosure as the min and max of all four.  theta's interval for
+    L >= 4, [2 - 2^-j, 2] or a part of it, is positive.
     """
     d = len(poly) - 1
     alo = ahi = poly[-1]
     for i in range(d - 1, -1, -1):
-        vals = (alo * lo, alo * hi, ahi * lo, ahi * hi)
         term = poly[i] << (k * (d - i))
-        alo = min(vals) + term
-        ahi = max(vals) + term
+        alo = alo * (lo if alo >= 0 else hi) + term
+        ahi = ahi * (hi if ahi >= 0 else lo) + term
     return alo, ahi
 
 

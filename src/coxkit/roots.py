@@ -127,11 +127,20 @@ def root_poset(system, max_depth=None, msmall=None, limit=None):
     At least one of max_depth, msmall, limit must be given, since the
     full poset is infinite whenever the group is.  With msmall=m the
     enumeration prunes at dp_inf > m and terminates on its own.
+
+    Each root to be expanded carries its pairings p_t = pairing(b, t)
+    for every letter t, with their signs.  The cover g = s(b) = b - c a_s,
+    c = p_s, pairs as p_t - c pairing(a_s, t): -c at s, a new value at the
+    neighbours of s (one product each, by the Cartan column), and the
+    value of b, with its sign, everywhere else.  A root at the depth cap
+    is never expanded, so it gets no pairings.
     """
     if max_depth is None and msmall is None and limit is None:
         raise ValueError("need max_depth, msmall or limit")
     n = system.rank
     norms = system._norm_q
+    columns = system._columns
+    unit = [x == 1 for x in norms]
     roots = []
     edges = []
     index = {}
@@ -140,19 +149,26 @@ def root_poset(system, max_depth=None, msmall=None, limit=None):
         r = Root(system.simple_root(s), 0, 0, norms[s], s)
         roots.append(r)
         index[r.coords] = s
-        frontier.append(r)
+        p = [0] * n
+        p[s] = 2
+        for t, a in columns[s]:
+            p[t] = a
+        frontier.append((r, p, [sign(x) for x in p]))
     depth = 0
     while frontier:
         if max_depth is not None and depth >= max_depth:
             break
+        expand = max_depth is None or depth + 1 < max_depth
         nxt = []
-        for beta in frontier:
+        for beta, p, signs in frontier:
             coords = beta.coords
+            four_norm = 4 * beta.norm_sq
             for s in range(n):
-                c = system.pairing(coords, s)
-                if sign(c) >= 0:
+                if signs[s] >= 0:
                     continue
-                is_long = c * c * norms[s] >= 4 * beta.norm_sq
+                c = p[s]
+                sq = c * c
+                is_long = (sq if unit[s] else sq * norms[s]) >= four_norm
                 dpinf = beta.dpinf + (1 if is_long else 0)
                 if msmall is not None and dpinf > msmall:
                     continue
@@ -162,9 +178,17 @@ def root_poset(system, max_depth=None, msmall=None, limit=None):
                     gr = Root(gamma, depth + 1, dpinf, beta.norm_sq, len(roots))
                     roots.append(gr)
                     index[gamma] = gr.index
-                    nxt.append(gr)
                     if limit is not None and len(roots) > limit:
                         raise LimitExceeded("root enumeration exceeded %d" % limit)
+                    if expand:
+                        q = list(p)
+                        q_signs = list(signs)
+                        q[s] = -c
+                        q_signs[s] = 1
+                        for t, a in columns[s]:
+                            x = q[t] = p[t] - c * a
+                            q_signs[t] = sign(x)
+                        nxt.append((gr, q, q_signs))
                 else:
                     gr = roots[gi]
                     if gr.depth != depth + 1 or gr.dpinf != dpinf:

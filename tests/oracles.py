@@ -175,6 +175,53 @@ def root_orbits(system, roots):
     return orbits
 
 
+def root_poset_slow(system, max_depth=None, msmall=None, limit=None):
+    """Root enumeration as root_poset does it, but with every pairing
+    c = system.pairing(b, s) and its sign recomputed for each (root,
+    letter) and the long-cover test |a_s|^2 c^2 >= 4|b|^2 taken as it
+    reads.  Returns (roots, edges): roots as (coords, depth, dp_inf,
+    norm) in index order, edges as (lower, upper, letter, long) in
+    discovery order; raises LimitExceeded once more than limit roots are
+    found, and ArithmeticError if a depth or dp_inf is path dependent.
+    """
+    from coxkit.core import LimitExceeded
+    from coxkit.field import sign
+
+    n = system.rank
+    norms = system._norm_q
+    roots = [(system.simple_root(s), 0, 0, norms[s]) for s in range(n)]
+    index = {r[0]: i for i, r in enumerate(roots)}
+    edges = []
+    frontier = list(range(n))
+    depth = 0
+    while frontier and (max_depth is None or depth < max_depth):
+        nxt = []
+        for i in frontier:
+            coords, _, dpinf, norm = roots[i]
+            for s in range(n):
+                c = system.pairing(coords, s)
+                if sign(c) >= 0:
+                    continue
+                is_long = c * c * norms[s] >= 4 * norm
+                up = dpinf + (1 if is_long else 0)
+                if msmall is not None and up > msmall:
+                    continue
+                gamma = coords[:s] + (coords[s] - c,) + coords[s + 1:]
+                j = index.get(gamma)
+                if j is None:
+                    j = index[gamma] = len(roots)
+                    roots.append((gamma, depth + 1, up, norm))
+                    nxt.append(j)
+                    if limit is not None and len(roots) > limit:
+                        raise LimitExceeded("root enumeration exceeded %d" % limit)
+                elif roots[j][1:3] != (depth + 1, up):
+                    raise ArithmeticError("depth or dp_inf is path dependent")
+                edges.append((i, j, s, is_long))
+        frontier = nxt
+        depth += 1
+    return roots, edges
+
+
 def horner(poly, x):
     """poly(x) exactly, coefficients lowest-first: Horner on the
     numerator of x, scaled by den(x)^deg, in ints where poly has ints."""

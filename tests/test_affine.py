@@ -9,6 +9,7 @@ from coxkit.affine import (
     AffineDatum, _gram_from_norms, affine_datum, affine_slice, affine_to_obj, depth_polynomial,
     depth_series, orbit_series, reflection_series,
 )
+from coxkit.roots import root_depth
 from coxkit.series import Polynomial, RationalSeries, is_palindromic
 from oracles import root_orbits
 
@@ -178,6 +179,18 @@ def test_orbits_match_reflection_closure(name):
     assert len(got[0]) <= len(got[-1])
     if len(got[0]) == len(got[-1]):
         assert d.omega in got[0]
+
+
+@pytest.mark.parametrize("name", AFFINE_PRESETS)
+def test_slice_depths_are_the_greedy_descent_depths(name):
+    """Level-0 slice roots take their depth from the finite poset; each
+    must equal the depth of its own walk down in the affine system."""
+    d = affine_datum(name)
+    for i in range(len(d.orbits)):
+        depths = orbit_series(d, i).depths
+        assert len(depths) == 2 * len(d.orbits[i])
+        for rep, depth in depths.items():
+            assert depth == root_depth(d.system, d.rep_coords(rep)), rep
 
 
 def test_orbit_series_needs_no_affine_poset(monkeypatch):

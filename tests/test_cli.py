@@ -175,9 +175,7 @@ def test_parser_built_once_per_process(capsys, monkeypatch):
     example = ["automaton", "A2", "--m", "0", "--series", "--terms", "6"]
     assert main(example) == 0
     first = capsys.readouterr().out
-    with pytest.raises(SystemExit) as info:
-        main(["automaton", "A3", "--terms", "-1"])
-    assert info.value.code == 2
+    assert main(["automaton", "A3", "--terms", "-1"]) == 2
     assert capsys.readouterr().err.startswith("usage: coxkit automaton")
     assert main(["dihedral", "A3", "1", "1"]) == 4
     capsys.readouterr()
@@ -300,12 +298,10 @@ def test_internal_error_exit_1(capsys, monkeypatch):
     ("roots", "A2", "--max-depth", "two"),
 ])
 def test_negative_counts_exit_2(capsys, argv):
-    with pytest.raises(SystemExit) as info:
-        main(list(argv))
-    assert info.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "non-negative integer" in captured.err
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "non-negative integer" in err
 
 
 def test_non_integral_bond_exit_2(capsys):
@@ -328,12 +324,10 @@ def test_unwritable_dot_file_exit_2(tmp_path, capsys, argv):
 
 
 def test_max_elements_is_an_automaton_option(capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["roots", "U3", "--max-depth", "2", "--max-elements", "5"])
-    assert info.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "unrecognized arguments: --max-elements 5" in captured.err
+    code, out, err = run(capsys, "roots", "U3", "--max-depth", "2", "--max-elements", "5")
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --max-elements 5" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -341,12 +335,10 @@ def test_max_elements_is_an_automaton_option(capsys):
     ("dihedral", "A3", "1", "2", "--max-roots", "5"),
 ])
 def test_max_roots_only_where_roots_are_enumerated(capsys, argv):
-    with pytest.raises(SystemExit) as info:
-        main(list(argv))
-    assert info.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "unrecognized arguments: --max-roots 5" in captured.err
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --max-roots 5" in err
 
 
 def reference_label(coords):
@@ -406,3 +398,71 @@ def test_labels_match_reference(capsys, spec, depth, m):
     assert [state["set"] for state in json.loads(out)["states"]] == sets
     assert [dfa.state_label(i) for i in range(len(sets))] == \
         ["{%s}" % ",".join(labels) for labels in sets]
+
+
+def test_help_returns_0(capsys):
+    code, out, err = run(capsys, "--help")
+    assert code == 0
+    assert out.startswith("usage: coxkit")
+    assert err == ""
+    code, out, _ = run(capsys, "roots", "--help")
+    assert code == 0
+    assert out.startswith("usage: coxkit roots")
+
+
+def _readme_argvs():
+    from test_readme import _examples
+    return [argv for argv, _ in _examples()]
+
+
+# --json reports of every subcommand on the groups of the acceptance suite
+ACCEPTANCE_REPORTS = [
+    ["roots", "[[1,3,3],[3,1,4],[3,4,1]]", "--max-depth", "4"],
+    ["roots", "[[1,3,3],[3,1,0],[3,0,1]]", "--max-depth", "5"],
+    ["roots", "H3", "--max-depth", "20"],
+    ["automaton", "~A2", "--m", "0", "--kind", "pref", "--series"],
+    ["automaton", "[[1,3,3],[3,1,4],[3,4,1]]", "--m", "1"],
+    ["reflections", "A3", "--max-length", "5"],
+    ["reflections", "~A2", "--max-length", "7"],
+    ["prefixes", "A3", "12321"],
+    ["prefixes", "A3", "123"],
+    ["prefixes", "A3", "2"],
+    ["dihedral", "[[1,3,3],[3,1,4],[3,4,1]]", "1", "2"],
+    ["affine", "~B3"],
+    ["affine", "~F4", "--terms", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", _readme_argvs() + ACCEPTANCE_REPORTS,
+                         ids=lambda argv: " ".join(argv))
+def test_json_writer_prints_what_json_dumps_prints(capsys, monkeypatch, argv):
+    reports = []
+    write = cli._json
+
+    def recording(obj, indent="\n"):
+        if indent == "\n":
+            reports.append(obj)
+        return write(obj, indent)
+
+    monkeypatch.setattr(cli, "_json", recording)
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    assert len(reports) == 1
+    assert out == json.dumps(reports[0], indent=2) + "\n"
+
+
+@pytest.mark.parametrize("obj", [
+    {}, [], (), [[]], {"a": {}}, [{}, [], ()], {"": [[], {}]},
+    ("a", ("b", [1, -2])),
+    {"quote\"": "back\\slash", "ctl": "\x00\x01\t\n\r\x1f\x7f", "uni": "é☃\U0001d11e"},
+    [True, False, None, 0, -1, 10 ** 3999, -(10 ** 3999)],
+    {"nested": [{"deep": [[True], {"x": None}]}], "n": -7},
+])
+def test_json_writer_matches_json_dumps_on_edge_cases(obj):
+    assert cli._json(obj) == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize("obj", [1.5, [0.0], {"x": float("nan")}, {1: "int key"}, {"s": {1}}])
+def test_json_writer_rejects_other_types(obj):
+    with pytest.raises(TypeError):
+        cli._json(obj)

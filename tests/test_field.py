@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import coxkit as ck
-from coxkit.field import CyclotomicField, _poly_divmod, field_for_matrix
+from coxkit.field import CyclotomicField, _dyadic_eval, _poly_divmod, field_for_matrix
 from oracles import horner, sturm_chain, sturm_count
 
 
@@ -228,3 +228,47 @@ def test_poly_divmod_by_zero_raises():
     for b in ([], [0], [0, Fraction(0)]):
         with pytest.raises(ZeroDivisionError):
             _poly_divmod([1, 2, 3], b)
+
+
+def _dyadic_eval_four(poly, lo, hi, k):
+    """Interval Horner taking the min and max of all four endpoint
+    products at each step: the enclosure for any interval."""
+    d = len(poly) - 1
+    alo = ahi = poly[-1]
+    for i in range(d - 1, -1, -1):
+        vals = (alo * lo, alo * hi, ahi * lo, ahi * hi)
+        term = poly[i] << (k * (d - i))
+        alo = min(vals) + term
+        ahi = max(vals) + term
+    return alo, ahi
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_dyadic_eval_matches_the_four_product_enclosure(seed):
+    """On 0 <= lo <= hi, two products per step give the enclosure four do."""
+    rng = random.Random(seed)
+    for _ in range(50):
+        poly = [rng.randint(-1000, 1000) for _ in range(rng.randint(2, 17))]
+        k = rng.randint(0, 40)
+        lo = rng.choice([0, rng.randint(0, 2 ** (k + 2))])
+        hi = lo + rng.choice([0, 1, rng.randint(0, 2 ** (k + 2))])
+        assert _dyadic_eval(poly, lo, hi, k) == _dyadic_eval_four(poly, lo, hi, k)
+
+
+@pytest.mark.parametrize("spec, depth, refines", [
+    ("H4", 30, 0),
+    ("[[1,4,6],[4,1,5],[6,5,1]]", 8, 9),
+])
+def test_root_poset_refines_theta_as_often_as_before(monkeypatch, spec, depth, refines):
+    """Bisections of theta's interval that a root poset needs, pinned."""
+    calls = []
+    refine = CyclotomicField.refine_theta
+
+    def counting(self):
+        calls.append(1)
+        return refine(self)
+
+    system = ck.CoxeterSystem(matrix=ck.coxeter_matrix_from_descriptor(spec))
+    monkeypatch.setattr(CyclotomicField, "refine_theta", counting)
+    ck.root_poset(system, max_depth=depth)
+    assert len(calls) == refines

@@ -1,12 +1,16 @@
 """Root enumeration, gradings, and dominance."""
 
+import math
+import random
 import time
 
 import pytest
 
 import coxkit as ck
 from coxkit.core import LimitExceeded
+from coxkit.field import bond_lcm
 from coxkit.roots import dominance_set as root_dominance_set
+from oracles import root_poset_slow
 
 
 def system(name):
@@ -159,3 +163,81 @@ def test_labels_and_dot_output():
     dot = poset.to_dot()
     assert dot.startswith("digraph")
     assert "->" in dot
+
+
+# Every preset of rank at most 5, with a depth cap for the infinite ones.
+PRESETS_UP_TO_RANK_5 = [
+    ("A1", None), ("A2", None), ("A3", None), ("A4", None), ("A5", None),
+    ("B2", None), ("B3", None), ("B4", None), ("B5", None),
+    ("C2", None), ("C3", None), ("C4", None), ("C5", None),
+    ("D4", None), ("D5", None), ("F4", None), ("G2", None), ("H3", None), ("H4", None),
+    ("I2(5)", None), ("I2(7)", None), ("I2(8)", None), ("I2(inf)", 8),
+    ("U2", 8), ("U3", 6), ("U4", 4), ("U5", 3),
+    ("~A2", 8), ("~A3", 6), ("~A4", 5), ("~B3", 6), ("~B4", 5),
+    ("~C2", 8), ("~C3", 6), ("~C4", 5), ("~D4", 5), ("~F4", 5), ("~G2", 8),
+]
+
+
+def _poset_or_limit(build, system, **bounds):
+    """(roots, edges) of a root enumeration as root_poset_slow returns
+    them, or LimitExceeded when the enumeration raised it."""
+    try:
+        out = build(system, **bounds)
+    except LimitExceeded:
+        return LimitExceeded
+    if isinstance(out, tuple):
+        return out
+    return ([(r.coords, r.depth, r.dpinf, r.norm_sq) for r in out.roots], out.edges)
+
+
+def _assert_matches_slow(system, depth):
+    """root_poset equals the pairing recomputation under a depth cap
+    (or as a whole finite poset), for m-small bounds, and for a root cap
+    just below and at the size of the poset."""
+    full = _poset_or_limit(ck.root_poset, system, max_depth=depth, limit=100000)
+    assert full == _poset_or_limit(root_poset_slow, system, max_depth=depth, limit=100000)
+    size = len(full[0])
+    for bounds in ({"msmall": 0}, {"msmall": 1}, {"max_depth": depth, "limit": size - 1},
+                   {"max_depth": depth, "limit": size}, {"msmall": 1, "max_depth": 2}):
+        got = _poset_or_limit(ck.root_poset, system, **bounds)
+        assert got == _poset_or_limit(root_poset_slow, system, **bounds), bounds
+
+
+@pytest.mark.parametrize("name, depth", PRESETS_UP_TO_RANK_5)
+def test_root_poset_matches_the_pairing_recomputation(name, depth):
+    _assert_matches_slow(system(name), depth)
+
+
+@pytest.mark.parametrize("name", ["~B3", "~C3", "~F4", "~G2"])
+def test_root_poset_matches_the_pairing_recomputation_with_unequal_norms(name):
+    """The integral forms of the affine types: simple roots of squared
+    norm 1, 2 or 3, so pairing(a_s, t) != pairing(a_t, s) across a bond."""
+    datum = ck.affine_datum(name)
+    _assert_matches_slow(datum.finite, None)
+    _assert_matches_slow(datum.system, 6)
+
+
+def _field_degree(matrix):
+    """Degree of Q(2cos(pi/L)), L the lcm of the bonds: phi(2L)/2 for L >= 3."""
+    two_l = 2 * bond_lcm(matrix)
+    if two_l <= 6:
+        return 1
+    return sum(1 for k in range(1, two_l) if math.gcd(k, two_l) == 1) // 2
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_root_poset_matches_the_pairing_recomputation_on_random_matrices(seed):
+    """Rank 3 or 4, bonds from {2..7, inf}; a matrix whose field has
+    degree over 24 (bonds 4, 5, 6 and 7 together give 96) is redrawn, as
+    its posets alone take seconds."""
+    rng = random.Random(seed)
+    while True:
+        n = rng.choice((3, 4))
+        rows = [[1] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                rows[i][j] = rows[j][i] = rng.choice((2, 3, 4, 5, 6, 7, 0))
+        matrix = ck.CoxeterMatrix(rows)
+        if _field_degree(matrix) <= 24:
+            break
+    _assert_matches_slow(ck.CoxeterSystem(matrix=matrix), 5 if n == 3 else 4)
