@@ -107,13 +107,14 @@ def cmd_roots(args, out):
         _write_file(args.dot, poset.to_dot())
     labels = poset.labels()
     if args.json:
+        texts = poset.coord_texts()
         obj = {
             "rank": system.rank,
             "max_depth": args.max_depth,
             "roots": [
                 {
                     "label": labels[i],
-                    "coords": [str(c) for c in r.coords],
+                    "coords": texts[i],
                     "depth": r.depth,
                     "dp_inf": r.dpinf,
                 }

@@ -1,21 +1,39 @@
 """Dihedral reflection subgroups and their canonical generators.
 
-Two reflections r and t generate a dihedral group whose reflections
-are exactly the odd alternating words r, rtr, rtrtr, .. and t, trt, ..
-The subgroup carries its own simple system: a unique pair of roots
-that expresses every root of the subgroup as a nonnegative
-combination.  Both searches below walk the two alternating tails;
-depth along a tail descends to a single valley and climbs from then
-on, so a walk may stop as soon as it climbs past its cap.
+The reflections of W' = <r, t> are rho_j = (rt)^j r, j in Z: rho_0 = r,
+rho_-1 = t, rho_{j+1} = rho_j rho_{j-1} rho_j, and on roots
+v_{j+1} = +-s_{v_j}(v_{j-1}).  Let N(w) = {t in T : l(tw) < l(w)}.  Dyer
+("Reflection subgroups of Coxeter systems", J. Algebra 1990) shows that
+the reflections u of W' whose N(u) meets W' in u alone form a set
+chi(W') making W' a Coxeter system, and that N(w) meets W' in N'(w), the
+N of (W', chi(W')), for w in W'.  So for c in chi(W') and w in W',
+l(cw) > l(w) iff l'(cw) > l'(w), and as l(wc) = l(c w^-1) likewise on
+the right: a chi-letter that lengthens a word of W' lengthens it in W.
+
+The pair is the two shallowest roots.  A reflection u of W' outside
+chi(W') = {x, y} has a reduced chi-word x y .. y x of length L >= 3.
+Its prefixes x, xy, .. grow by lengthening letters, so l(u) > l(x); and
+u = x u' x lengthens u' on each side, so l(u) > l(u') >= l(y) by
+induction on L.  As l(t) = 2 dp(a_t) + 1, every other root of W' is
+deeper than both.
+
+The walk.  When W' is infinite, rho_k rho_l = (rt)^(k-l) generates the
+rotations only when |k - l| = 1, so chi(W') = {a, b} = {rho_k, rho_k+1};
+rho_{k+1+i} = (ba)^i b and rho_{k-i} = (ab)^i a are reduced, and
+rho_{k+2+i} = rho_{k+1+i} a b, rho_{k-1-i} = rho_{k-i} b a add two
+lengthening letters.  Depth falls strictly in j to the pair and rises
+strictly past it, so a walk may stop at the first rising root deeper
+than its cap.  A finite W' has m reflections and v_j has period m, but
+its pair need not be consecutive in j (<s_1, s_2 s_1 s_2> of I2(7) has
+rho_0 = s_1 and rho_3 = s_2), so its walk is taken whole.
 """
 
 from fractions import Fraction
 
-from .core import _inversions, _matmul, _plain
+from .core import _plain
 from .field import bond_lcm, exact
 from .prefixes import _reflection_root
-from .roots import Root, _descend, dominance_set, reflection_from_root, root_depth, \
-    root_profile
+from .roots import Root, dominance_set, reflection_from_root, root_depth, root_profile
 
 
 class DihedralSubgroup:
@@ -24,7 +42,7 @@ class DihedralSubgroup:
     canonical holds the pair of reflections whose roots form the
     subgroup's own simple system; order_m is the order of their
     product, with 0 standing for infinite or past the search bound.
-    simple_roots is None when found without the representation.
+    simple_roots is None from canonical_generators_repfree.
     """
 
     __slots__ = ("gens_input", "canonical", "simple_roots", "order_m")
@@ -63,35 +81,32 @@ def _reflect_in(system, v, root, norm):
 
 
 def _subgroup_roots(system, ar, at, cap):
-    """Roots of the reflections in <s_ar, s_at> with depth <= cap,
-    mapped to their depth."""
-    nr = system.norm_sq(ar)
-    nt = system.norm_sq(at)
+    """Whether <s_ar, s_at> is finite (B positive definite on its span),
+    and the roots its walks visit, up in j from (at, ar) and down from
+    (ar, at), mapped to their depth: all when finite, else every root of
+    depth <= cap."""
+    b = system.bilinear(ar, at)
+    finite = b * b < system.norm_sq(ar) * system.norm_sq(at)
     found = {}
-    for a, na, b, nb in ((ar, nr, at, nt), (at, nt, ar, nr)):
-        v = a
-        seen = set()
-        prev = None
-        while True:
-            pos = _positive(system, v)
-            if pos in seen:
+    for prev, cur in ((at, ar), (ar, at)):
+        # v_{j+1} is an image of v_{j-1}, so the two norms alternate
+        nprev, ncur = system.norm_sq(prev), system.norm_sq(cur)
+        low = None
+        while cur not in found:
+            d = root_depth(system, cur)
+            if not finite and d > cap and low is not None and d > low:
                 break
-            seen.add(pos)
-            dp = root_depth(system, pos)
-            if dp <= cap:
-                found[pos] = dp
-            elif prev is not None and dp > prev:
-                break
-            prev = dp
-            v = _reflect_in(system, _reflect_in(system, v, b, nb), a, na)
-    return found
+            found[cur] = low = d
+            prev, cur = cur, _positive(system, _reflect_in(system, prev, cur, ncur))
+            nprev, ncur = ncur, nprev
+    return finite, found
 
 
 def subgroup_inversions(system, p, r, t):
     """Inversions of p that lie in <r, t>, in inversion-set order."""
     ar = _reflection_root(system, r)
     at = _reflection_root(system, t)
-    sub = _subgroup_roots(system, ar, at, max(p.length - 1, 0))
+    _, sub = _subgroup_roots(system, ar, at, max(p.length - 1, 0))
     out = []
     for a in p.inversion_set():
         if a in sub:
@@ -100,134 +115,30 @@ def subgroup_inversions(system, p, r, t):
     return out
 
 
-def _product_order(u, v, bound):
-    """Order of uv, or 0 past bound; powers are taken on matrix rows."""
-    system = u.system
-    g = acc = _matmul(system, u.rows, v.rows)
-    for k in range(1, bound + 1):
-        if acc == system._id_rows:
-            return k
-        acc = _matmul(system, acc, g)
-    return 0
-
-
 def canonical_generators(system, r, t, bound=None):
-    """The canonical generator pair of <r, t>, through root depths.
-
-    When both input reflections restrict to a single inversion of
-    their own prefix, the pair is already canonical.  Otherwise some
-    restricted set has two or more roots; the two of least depth,
-    with the deeper one reflected in the shallower, span the
-    subgroup's simple system.
-    """
+    """The canonical generator pair of <r, t>: its two shallowest roots,
+    no deeper than the deeper input.  m = order(rt) is the number of
+    reflections a finite subgroup's walk lists."""
     ar = _reflection_root(system, r)
     at = _reflection_root(system, t)
     if ar == at:
         raise ValueError("the two reflections must be distinct")
     if bound is None:
         bound = default_order_bound(system)
-    walks = [_descend(system, a) for a in (ar, at)]
-    sub = _subgroup_roots(system, ar, at, max(len(steps) for steps, _ in walks))
-    # the inversions of the prefix each descent spells that lie in <r, t>
-    xr, xt = ([a for a in _inversions(system, [s for s, _ in steps] + [last]) if a in sub]
-              for steps, last in walks)
-    picked = xr if len(xr) > 1 else (xt if len(xt) > 1 else None)
-    if picked is None:
-        pair = [(r, ar), (t, at)]
-    else:
-        xs = sorted(picked, key=lambda a: (sub[a], a))
-        a1 = xs[0]
-        a2 = _positive(system, _reflect_in(system, xs[1], a1, system.norm_sq(a1)))
-        pair = [(reflection_from_root(system, a), a) for a in (a1, a2)]
+    finite, sub = _subgroup_roots(system, ar, at, (max(r.length, t.length) - 1) // 2)
+    given = {ar: r, at: t}
+    pair = [(given[a] if a in given else reflection_from_root(system, a), a)
+            for a in sorted(sub, key=sub.get)[:2]]
     (c1, a1), (c2, a2) = sorted(pair, key=lambda ca: (ca[0].length, ca[0].word))
-    b = system.bilinear(a1, a2)
-    if b * b >= system.norm_sq(a1) * system.norm_sq(a2):
-        m = 0
-    else:
-        m = _product_order(c1, c2, bound)
+    m = len(sub) if finite and len(sub) <= bound else 0
     return DihedralSubgroup((r, t), (c1, c2), (a1, a2), m)
 
 
-def _left_reflections(p):
-    """The reflections s_1, s_1 s_2 s_1, .. read off p's word."""
-    system = p.system
-    out = []
-    c = system.identity
-    for s in p.word:
-        g = system.generator(s)
-        out.append(c * g * c.inverse())
-        c = c * g
-    return out
-
-
-def _repfree_prefix(system, t):
-    """A prefix of the reflection t using only length comparisons."""
-    if t.length % 2 == 0 or t.rows != t.inv_rows:
-        raise ValueError("element is not a reflection")
-    word = []
-    u = t
-    while u.length > 1:
-        for s in range(system.rank):
-            g = system.generator(s)
-            v = g * u * g
-            if v.length == u.length - 2:
-                word.append(s)
-                u = v
-                break
-        else:
-            raise ValueError("element is not a reflection")
-    word.append(u.word[0])
-    return system.element(word)
-
-
-def _subgroup_elements(system, r, t, cap):
-    """Reflections of <r, t> with length <= cap, by tail walks."""
-    out = set()
-    for a, b in ((r, t), (t, r)):
-        g = a * b
-        gi = g.inverse()
-        u = a
-        seen = set()
-        prev = None
-        while u not in seen:
-            seen.add(u)
-            l = u.length
-            if l <= cap:
-                out.add(u)
-            elif prev is not None and l > prev:
-                break
-            prev = l
-            u = g * u * gi
-    return out
-
-
 def canonical_generators_repfree(system, r, t, bound=None):
-    """The canonical generator pair of <r, t>, lengths only.
-
-    Same case split as canonical_generators, with word length standing
-    in for root depth and conjugation for reflecting a root: l(u) of a
-    reflection determines the depth of its root, so the least two
-    lengths pick the same pair.
-    """
-    if r == t:
-        raise ValueError("the two reflections must be distinct")
-    if bound is None:
-        bound = default_order_bound(system)
-    pr = _repfree_prefix(system, r)
-    pt = _repfree_prefix(system, t)
-    sub = _subgroup_elements(system, r, t, max(r.length, t.length))
-    xr = [u for u in _left_reflections(pr) if u in sub]
-    xt = [u for u in _left_reflections(pt) if u in sub]
-    picked = xr if len(xr) > 1 else (xt if len(xt) > 1 else None)
-    if picked is None:
-        u1, u2 = r, t
-    else:
-        xs = sorted(picked, key=lambda u: (u.length, u.word))
-        u1 = xs[0]
-        u2 = u1 * xs[1] * u1
-    pair = sorted((u1, u2), key=lambda u: (u.length, u.word))
-    m = _product_order(pair[0], pair[1], bound)
-    return DihedralSubgroup((r, t), (pair[0], pair[1]), None, m)
+    """canonical_generators without the simple roots.  Kept by name for
+    the dihedral.repfree span of bench/spans.py, which wraps it."""
+    sub = canonical_generators(system, r, t, bound)
+    return DihedralSubgroup(sub.gens_input, sub.canonical, None, sub.order_m)
 
 
 def reflection_dominance_set(system, t):

@@ -55,7 +55,7 @@ class RootPoset:
         self.msmall = msmall
         self.depth_cap = depth_cap
         self.index = index  # coords -> root index
-        self._labels = None
+        self._labels = self._texts = None
         self.up = [[] for _ in roots]
         self.down = [[] for _ in roots]
         for lo, hi, s, is_long in edges:
@@ -102,7 +102,13 @@ class RootPoset:
                 else:
                     labels.append("(" + ", ".join(text) + ")")
             self._labels = labels
+            self._texts = texts
         return self._labels
+
+    def coord_texts(self):
+        """str of each coordinate of each root, as labels() builds them."""
+        self.labels()
+        return self._texts
 
     def to_dot(self):
         """Graphviz source; long covers are dashed, depths share a rank."""

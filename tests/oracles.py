@@ -315,3 +315,95 @@ def sign_at_root(coeffs, poly, lo, hi):
             lo = mid
         else:
             hi = mid
+
+
+def dihedral_closure(r, t, limit=8):
+    """The elements of <r, t>, closed under products from r and t, or
+    None once the closure passes 2 * limit elements."""
+    elements = {r.system.identity}
+    frontier = [r.system.identity]
+    while frontier:
+        if len(elements) > 2 * limit:
+            return None
+        grown = []
+        for w in frontier:
+            for s in (r, t):
+                v = w * s
+                if v not in elements:
+                    elements.add(v)
+                    grown.append(v)
+        frontier = grown
+    return elements
+
+
+def left_reflections(system, p):
+    """p_1 .. p_k .. p_1 for k = 1 .. l(p), built by products: the
+    reflection of each inversion of p, in inversion-set order."""
+    out = []
+    c = system.identity
+    for s in p.word:
+        g = system.generator(s)
+        out.append(c * g * c.inverse())
+        c = c * g
+    return out
+
+
+def dihedral_reflections(r, t, max_length, limit=8):
+    """The reflections of W' = <r, t> and the order m of rt (0 when
+    infinite): all of them when W' is finite, else a list holding every
+    one of length <= max_length.
+
+    W' is closed under products from r and t (dihedral_closure).  Its
+    odd elements are its reflections (rt)^j r; the rotations (rt)^j are
+    even.  When the closure passes 2 * limit elements W' is taken as
+    infinite: every product of two reflections of a finite parabolic
+    subgroup of the groups the tests use has order at most 8, and every
+    finite subgroup lies in a conjugate of one (Tits).
+
+    An infinite W' has the pairwise distinct reflections
+    rho_j = (rt)^j r, and |j| <= J = (max_length + L) // 2 is listed,
+    L = max(l(r), l(t)), built by products with rt and tr.  Dyer
+    ("Reflection subgroups of Coxeter systems", J. Algebra 1990) shows
+    that N(w) = {x in T : l(xw) < l(w)} meets W' in N'(w), the N of
+    (W', chi(W')), so l'(w) <= l(w) for w in W'.  chi(W') is
+    {rho_k, rho_k+1} for some k, as rho_k rho_l = (rt)^(k-l) generates
+    the rotations only when |k - l| = 1, so l'(rho_j) = |2(j - k) - 1|.
+    rho_0 = r gives |2k + 1| <= L, and a reflection rho_j of length
+    <= max_length then has |2j| <= max_length + L.
+    """
+    elements = dihedral_closure(r, t, limit)
+    if elements is not None:
+        refs = [w for w in elements if w.length % 2]
+        return refs, len(refs)
+    g, gi = r * t, t * r
+    refs = [r]
+    up = down = r
+    for _ in range((max_length + max(r.length, t.length)) // 2):
+        up, down = g * up, gi * down
+        refs += [up, down]
+    assert len(set(refs)) == len(refs), "rt has finite order past the limit"
+    return refs, 0
+
+
+def dyer_canonical(system, r, t):
+    """chi(W') of W' = <r, t> by Dyer's definition, and the order m of rt
+    (0 when infinite).
+
+    chi(W') is the set of reflections u of W' whose
+    N(u) = {x in T : l(xu) < l(u)} meets W' in u alone; each x is tested
+    by that length comparison, shortest first, so that a u outside
+    chi(W') is usually rejected at once.  The reflections of W' come
+    from dihedral_reflections, for lengths <= 2L - 1 with
+    L = max(l(r), l(t)): an element of N(u) is s_1 .. s_i .. s_1 for a
+    reduced word s_1 .. s_l(u) of u, so of length <= 2 l(u) - 1, and
+    every x in W' that N(u) holds is listed when l(u) <= L.  For an
+    infinite W' the list also holds chi(W') = {rho_k, rho_k+1}, as
+    |2k + 1| <= L, so the verdict is exact for every u it holds: a u in
+    chi(W') passes whatever the list holds, and any other u has in N(u)
+    the first letter of its reduced chi(W')-word.
+    """
+    refs, m = dihedral_reflections(r, t, 2 * max(r.length, t.length) - 1)
+    refs.sort(key=lambda u: u.length)
+    chi = [u for u in refs
+           if not any(x != u and (x * u).length < u.length for x in refs)]
+    return chi, m

@@ -36,6 +36,18 @@ def test_roots_json_and_covers(capsys):
     assert letters <= {1, 2, 3}
 
 
+
+@pytest.mark.parametrize("spec, depth", [("H3", 20), ("~G2", 8), ("U3", 5),
+                                         ("[[1,3,3],[3,1,4],[3,4,1]]", 5)])
+def test_roots_json_coords_are_each_coordinate_as_text(capsys, spec, depth):
+    """The "coords" of every root are str of its coordinates, in poset
+    order, over Q, Q(sqrt 5) and Q(sqrt 2)."""
+    code, out, _ = run(capsys, "roots", spec, "--max-depth", str(depth), "--json")
+    assert code == 0
+    poset = root_poset(CoxeterSystem(matrix=coxeter_matrix_from_descriptor(spec)), max_depth=depth)
+    assert [r["coords"] for r in json.loads(out)["roots"]] == \
+        [[str(c) for c in r.coords] for r in poset.roots]
+
 def test_roots_dot_file(tmp_path, capsys):
     target = tmp_path / "poset.dot"
     code, _, _ = run(capsys, "roots", "A2", "--max-depth", "3",

@@ -5,6 +5,8 @@ import random
 import pytest
 
 import coxkit as ck
+import oracles
+from coxkit.cli import main
 
 
 def system(name):
@@ -183,3 +185,98 @@ def test_reflection_dominance_set_follows_root_dominance():
 def test_default_order_bound_covers_bonds():
     sysm = system("H3")
     assert ck.default_order_bound(sysm) >= 10
+
+
+def test_order_past_the_bound_reads_zero():
+    sysm = system("I2(8)")
+    r, t = sysm.generator(0), sysm.generator(1)
+    for find in (ck.canonical_generators, ck.canonical_generators_repfree):
+        assert find(sysm, r, t, bound=8).order_m == 8
+        assert find(sysm, r, t, bound=7).order_m == 0
+    # past the bound, a pair that is not canonical still finds the
+    # canonical one: <1, 212> of I2(7) has rho_0 = 1 and rho_3 = 2
+    sysm = system("I2(7)")
+    r, t = sysm.element("1"), sysm.element("212")
+    for find in (ck.canonical_generators, ck.canonical_generators_repfree):
+        sub = find(sysm, r, t, bound=6)
+        assert {c.word for c in sub.canonical} == {(0,), (1,)}
+        assert sub.order_m == 0
+
+# the groups of the Dyer-oracle check: (spec, ball radius or None for
+# the whole finite group, pairs sampled or None for all of them); an
+# "integral" spec is the integral form of an affine type, whose roots
+# have unequal norms
+DYER_GROUPS = (
+    ("A3", None, None), ("B3", None, None), ("H3", None, None),
+    ("I2(7)", None, None), ("I2(8)", None, None),
+    ("~A2", 9, 30), ("~B3", 7, 20), ("~C3", 7, 20), ("~G2", 9, 20), ("U3", 7, 30),
+    ([[1, 3, 3], [3, 1, 4], [3, 4, 1]], 7, 10), ([[1, 4, 5], [4, 1, 0], [5, 0, 1]], 5, 10),
+    ("integral ~B3", 7, 20), ("integral ~G2", 9, 20),
+)
+
+
+def _dyer_system(spec):
+    if isinstance(spec, list):
+        return ck.CoxeterSystem(matrix=ck.CoxeterMatrix(spec))
+    if spec.startswith("integral "):
+        return ck.affine_datum(spec.split()[1]).system
+    return system(spec)
+
+
+@pytest.mark.parametrize("spec, radius, sample", DYER_GROUPS,
+                         ids=[str(g[0]).replace(" ", "") for g in DYER_GROUPS])
+def test_canonical_pair_is_dyers(spec, radius, sample):
+    """Both paths return chi(<r, t>) as Dyer defines it, and the order of
+    its product (0 past the default bound or when infinite)."""
+    sysm = _dyer_system(spec)
+    refs = reflections_in_ball(sysm, radius)
+    pairs = [(a, b) for i, a in enumerate(refs) for b in refs[i + 1:]]
+    if sample is not None:
+        pairs = random.Random(13).sample(pairs, sample)
+    bound = ck.default_order_bound(sysm)
+    for r, t in pairs:
+        chi, m = oracles.dyer_canonical(sysm, r, t)
+        assert len(chi) == 2
+        for find in (ck.canonical_generators, ck.canonical_generators_repfree):
+            sub = find(sysm, r, t)
+            assert set(sub.canonical) == set(chi), (find.__name__, r.word, t.word)
+            assert sub.order_m == (m if m <= bound else 0), (find.__name__, r.word, t.word)
+
+
+@pytest.mark.parametrize("argv, printed", [
+    (["dihedral", "~A3", "1423241", "1423421243241"],
+     "canonical generators: {1, 23432}, m = infinite-or-large\n"),
+    (["dihedral", "U3", "31232323213", "312323213"],
+     "canonical generators: {31213, 31313}, m = infinite-or-large\n"),
+], ids=["~A3", "U3"])
+def test_infinite_pair_holding_neither_input(capsys, argv, printed):
+    """Infinite subgroups whose canonical pair holds neither input: the
+    reflections of the second have lengths 11, 9, 7, 5, 5, 7, .. walking
+    from the inputs, and 23432 of the first has root delta - alpha_1."""
+    assert main(argv) == 0
+    assert capsys.readouterr().out == printed
+
+
+@pytest.mark.parametrize("name, radius, p_radius, pairs, sample", [
+    ("H3", None, None, None, 17), ("I2(8)", None, None, None, None),
+    ("~A2", 11, 7, 60, 12), ("U3", 5, 5, 25, 12)])
+def test_subgroup_inversions_match_brute_force(name, radius, p_radius, pairs, sample):
+    """Every inversion of p whose reflection lies in <r, t>, in order,
+    with depth (l - 1) / 2 of that reflection.  In ~A2, r and t are
+    drawn deeper than p, so that the walks start above their cap."""
+    sysm = system(name)
+    group = ck.cayley_bfs(sysm, max_length=radius)
+    refs = [w for w in group if ck.is_reflection(w) is not None]
+    rng = random.Random(5)
+    ps = [w for w in group if p_radius is None or w.length <= p_radius]
+    ps = ps if sample is None else rng.sample(ps, sample)
+    lefts = {p: oracles.left_reflections(sysm, p) for p in ps}
+    todo = [(a, b) for i, a in enumerate(refs) for b in refs[i + 1:]]
+    for r, t in (todo if pairs is None else rng.sample(todo, pairs)):
+        sub, _ = oracles.dihedral_reflections(r, t, 2 * max(p.length for p in ps) - 1)
+        sub = set(sub)
+        for p in ps:
+            want = [(a, (x.length - 1) // 2)
+                    for a, x in zip(p.inversion_set(), lefts[p]) if x in sub]
+            got = [(a.coords, a.depth) for a in ck.subgroup_inversions(sysm, p, r, t)]
+            assert got == want, (r.word, t.word, p.word)
