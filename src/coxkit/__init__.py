@@ -39,7 +39,6 @@ from .dihedral import (
     DihedralSubgroup,
     canonical_generators,
     canonical_generators_repfree,
-    default_order_bound,
     reflection_dominance_set,
     subgroup_inversions,
 )

@@ -6,6 +6,10 @@ state accepting, the automaton recognizes exactly the reduced words.
 Tracking one extra bit per state, whether the last letter moved the
 previous set entirely off itself, cuts the language down to reduced
 words of reflection-prefix elements.
+
+A state is keyed by its set and that bit, the bit always True for `red`,
+and the transitions form one table: row i maps each letter to a state,
+or to None where the letter is a descent.
 """
 
 from .core import LimitExceeded, cayley_bfs, format_word
@@ -13,30 +17,37 @@ from .roots import m_small_roots
 
 
 class Dfa:
-    """Deterministic automaton over the generators of one system."""
+    """Deterministic automaton over the generators of one system.
 
-    __slots__ = (
-        "system", "kind", "m", "poset", "states", "transitions",
-        "finals", "initial", "set_count", "_delta",
-    )
+    states[i] is (sorted small-root indices, flag), the flag None for
+    `red`; table[i][s] is the target of letter s from state i, or None.
+    """
 
-    def __init__(self, system, kind, m, poset, states, transitions, finals):
+    __slots__ = ("system", "kind", "m", "poset", "states", "table", "finals",
+                 "initial", "set_count")
+
+    def __init__(self, system, kind, m, poset, states, table, finals):
         self.system = system
         self.kind = kind
         self.m = m
         self.poset = poset
         self.states = states
-        self.transitions = transitions
+        self.table = table
         self.finals = finals
         self.initial = 0
         self.set_count = len({key for key, _ in states})
-        self._delta = {(src, s): dst for src, s, dst in transitions}
 
     def __repr__(self):
         return "Dfa(%s, m=%d, %d states)" % (self.kind, self.m, len(self.states))
 
+    @property
+    def transitions(self):
+        """(src, letter, dst) triples in (src, letter) order."""
+        return [(i, s, dst) for i, row in enumerate(self.table)
+                for s, dst in enumerate(row) if dst is not None]
+
     def step(self, state, s):
-        return self._delta.get((state, s))
+        return self.table[state][s]
 
     def state_label(self, i):
         key, _ = self.states[i]
@@ -60,29 +71,22 @@ def build_automaton(system, m, kind="red", limit=None):
         [poset.index.get(system.reflect(r.coords, s)) for r in poset.roots]
         for s in range(rank)
     ]
-    pref = kind == "pref"
-    initial = (frozenset(), False) if pref else frozenset()
-    states = [initial]
-    ids = {initial: 0}
-    transitions = []
-    i = 0
-    while i < len(states):
-        key = states[i]
-        xset = key[0] if pref else key
+    red = kind == "red"
+    states = [(frozenset(), red)]
+    ids = {states[0]: 0}
+    table = []
+    # states grows while the loop reads it: a breadth-first queue
+    for xset, _ in states:
+        row = [None] * rank
         for s in range(rank):
             if s in xset:
                 continue
             img = images[s]
-            new = {s}
-            hit = False
-            for b in xset:
-                j = img[b]
-                if j is not None:
-                    new.add(j)
-                    if j in xset:
-                        hit = True
-            new = frozenset(new)
-            nkey = (new, not hit) if pref else new
+            new = {img[b] for b in xset}
+            new.discard(None)
+            hit = not new.isdisjoint(xset)
+            new.add(s)
+            nkey = (frozenset(new), red or not hit)
             dst = ids.get(nkey)
             if dst is None:
                 dst = len(states)
@@ -90,15 +94,11 @@ def build_automaton(system, m, kind="red", limit=None):
                     raise LimitExceeded("automaton exceeded %d states" % limit)
                 ids[nkey] = dst
                 states.append(nkey)
-            transitions.append((i, s, dst))
-        i += 1
-    if pref:
-        out = [(tuple(sorted(key[0])), key[1]) for key in states]
-        finals = frozenset(i for i, key in enumerate(states) if key[1])
-    else:
-        out = [(tuple(sorted(key)), None) for key in states]
-        finals = frozenset(range(len(states)))
-    return Dfa(system, kind, m, poset, out, transitions, finals)
+            row[s] = dst
+        table.append(tuple(row))
+    out = [(tuple(sorted(xset)), None if red else flag) for xset, flag in states]
+    finals = frozenset(i for i, (_, flag) in enumerate(states) if flag)
+    return Dfa(system, kind, m, poset, out, table, finals)
 
 
 def accepts(dfa, word):
@@ -111,37 +111,6 @@ def accepts(dfa, word):
     return state in dfa.finals
 
 
-def _successors(dfa):
-    succ = [[] for _ in dfa.states]
-    for src, _, dst in dfa.transitions:
-        succ[src].append(dst)
-    return succ
-
-
-def is_acyclic(dfa):
-    """True when the transition graph has no cycle.
-
-    Every state of a built automaton is reachable, so the language is
-    then finite and no accepted word is longer than the number of
-    states minus one.  Kahn's algorithm: repeatedly remove a state no
-    remaining transition enters; a cycle is what is left over.
-    """
-    succ = _successors(dfa)
-    indeg = [0] * len(succ)
-    for _, _, dst in dfa.transitions:
-        indeg[dst] += 1
-    ready = [i for i, d in enumerate(indeg) if not d]
-    removed = 0
-    while ready:
-        i = ready.pop()
-        removed += 1
-        for j in succ[i]:
-            indeg[j] -= 1
-            if not indeg[j]:
-                ready.append(j)
-    return removed == len(succ)
-
-
 def count_by_length(dfa, max_len):
     """Accepted-word counts for lengths 0..max_len.
 
@@ -149,15 +118,16 @@ def count_by_length(dfa, max_len):
     the number of words reaching each; once it empties, no longer word
     is accepted.
     """
-    succ = _successors(dfa)
+    table = dfa.table
     frontier = {dfa.initial: 1}
     out = []
     while frontier and len(out) <= max_len:
         out.append(sum(c for i, c in frontier.items() if i in dfa.finals))
         nxt = {}
         for i, c in frontier.items():
-            for j in succ[i]:
-                nxt[j] = nxt.get(j, 0) + c
+            for j in table[i]:
+                if j is not None:
+                    nxt[j] = nxt.get(j, 0) + c
         frontier = nxt
     return out + [0] * (max_len + 1 - len(out))
 

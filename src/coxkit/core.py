@@ -52,6 +52,8 @@ class CoxeterMatrix:
     __slots__ = ("entries", "rank")
 
     def __init__(self, entries):
+        if not all(isinstance(row, (list, tuple)) for row in entries):
+            raise ValueError("Coxeter matrix rows must be arrays")
         rows = tuple(tuple(_bond(x) for x in row) for row in entries)
         n = len(rows)
         if n == 0 or any(len(r) != n for r in rows):
@@ -399,10 +401,6 @@ class GroupElement:
     def right_descents(self):
         return tuple(s for s in range(self.system.rank)
                      if _column_is_negative(self.rows, s))
-
-    def left_descents(self):
-        return tuple(s for s in range(self.system.rank)
-                     if _column_is_negative(self.inv_rows, s))
 
     def act(self, coords):
         dot = self.system._dot

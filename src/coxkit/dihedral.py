@@ -31,7 +31,7 @@ rho_0 = s_1 and rho_3 = s_2), so its walk is taken whole.
 from fractions import Fraction
 
 from .core import _plain
-from .field import bond_lcm, exact
+from .field import exact
 from .prefixes import _reflection_root
 from .roots import Root, dominance_set, reflection_from_root, root_depth, root_profile
 
@@ -41,7 +41,7 @@ class DihedralSubgroup:
 
     canonical holds the pair of reflections whose roots form the
     subgroup's own simple system; order_m is the order of their
-    product, with 0 standing for infinite or past the search bound.
+    product, with 0 standing for infinite.
     simple_roots is None from canonical_generators_repfree.
     """
 
@@ -56,12 +56,6 @@ class DihedralSubgroup:
     def __repr__(self):
         return "DihedralSubgroup(%r, m=%s)" % (
             list(self.canonical), self.order_m or "inf")
-
-
-def default_order_bound(system):
-    """Search cap for product orders: twice the lcm of the finite bond
-    orders, plus rank squared."""
-    return 2 * bond_lcm(system.matrix) + system.rank * system.rank
 
 
 def _positive(system, v):
@@ -115,29 +109,33 @@ def subgroup_inversions(system, p, r, t):
     return out
 
 
-def canonical_generators(system, r, t, bound=None):
+def canonical_generators(system, r, t):
     """The canonical generator pair of <r, t>: its two shallowest roots,
     no deeper than the deeper input.  m = order(rt) is the number of
-    reflections a finite subgroup's walk lists."""
+    reflections a finite subgroup's walk lists, 0 for an infinite one.
+
+    m needs no cap: a finite pair has B(a, b)^2 = cos^2(pi/m) |a|^2 |b|^2,
+    so cos(2 pi/m) = 2 cos^2(pi/m) - 1 lies in the field of the form,
+    Q(2 cos(pi/L)) inside Q(zeta_2L) for L the lcm of the finite bonds.
+    When cos(2 pi/m) is irrational its field has conductor m, or m/2 for
+    m = 2 mod 4, dividing 2L, so m <= 2L; otherwise m <= 6.
+    """
     ar = _reflection_root(system, r)
     at = _reflection_root(system, t)
     if ar == at:
         raise ValueError("the two reflections must be distinct")
-    if bound is None:
-        bound = default_order_bound(system)
     finite, sub = _subgroup_roots(system, ar, at, (max(r.length, t.length) - 1) // 2)
     given = {ar: r, at: t}
     pair = [(given[a] if a in given else reflection_from_root(system, a), a)
             for a in sorted(sub, key=sub.get)[:2]]
     (c1, a1), (c2, a2) = sorted(pair, key=lambda ca: (ca[0].length, ca[0].word))
-    m = len(sub) if finite and len(sub) <= bound else 0
-    return DihedralSubgroup((r, t), (c1, c2), (a1, a2), m)
+    return DihedralSubgroup((r, t), (c1, c2), (a1, a2), len(sub) if finite else 0)
 
 
-def canonical_generators_repfree(system, r, t, bound=None):
+def canonical_generators_repfree(system, r, t):
     """canonical_generators without the simple roots.  Kept by name for
     the dihedral.repfree span of bench/spans.py, which wraps it."""
-    sub = canonical_generators(system, r, t, bound)
+    sub = canonical_generators(system, r, t)
     return DihedralSubgroup(sub.gens_input, sub.canonical, None, sub.order_m)
 
 

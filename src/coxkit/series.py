@@ -10,7 +10,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .automata import count_by_length, is_acyclic
+from .automata import count_by_length
 from .core import LimitExceeded
 from .field import _poly_divmod as _coeff_divmod, _poly_mul_into, _poly_trim, exact
 
@@ -298,17 +298,19 @@ def dfa_series(dfa):
     2n + 5 direct counts before returning: the product of den with the
     counts must vanish from the recurrence length on.
 
-    An automaton without a cycle accepts a finite language, no word of
-    it longer than n - 1 letters, as it has no path of n transitions.
-    Its series is the count polynomial over 1, the reduced form
-    Berlekamp-Massey would return, and is read off the counts directly.
+    A finite language shows in the counts: c_k = u A^k f for the n x n
+    transition matrix A, so by Cayley-Hamilton each count from length n
+    on is fixed by the n counts before it, and n zero counts from length
+    n on make every later count zero.  The series is then the count
+    polynomial over 1, the reduced form Berlekamp-Massey would return.
+    Without a cycle the frontier empties within n letters, where the
+    count walk stops.
     """
     n = len(dfa.states)
-    if is_acyclic(dfa):
-        return RationalSeries._reduced(
-            Polynomial(count_by_length(dfa, n - 1)), Polynomial([1]))
     check = 2 * n + 5
     counts = count_by_length(dfa, check - 1)
+    if not any(counts[n:]):
+        return RationalSeries._reduced(Polynomial(counts[:n]), Polynomial([1]))
     den, length = berlekamp_massey(counts[: 2 * n + 1])
     prod = [
         sum(den[j] * counts[k - j] for j in range(min(k, len(den) - 1) + 1))

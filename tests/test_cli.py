@@ -323,6 +323,21 @@ def test_non_integral_bond_exit_2(capsys):
     assert err == "error: Coxeter matrix entries must be integers, got 3.7\n"
 
 
+@pytest.mark.parametrize("spec", ["[1,2]", "[null]", "[1.5]", "[true]"])
+@pytest.mark.parametrize("argv", [
+    ("roots", "--max-depth", "3"),
+    ("automaton",),
+    ("reflections", "--max-length", "3"),
+    ("prefixes", "1"),
+    ("dihedral", "1", "2"),
+])
+def test_matrix_rows_not_arrays_exit_2(capsys, spec, argv):
+    code, out, err = run(capsys, argv[0], spec, *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert err == "error: Coxeter matrix rows must be arrays\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("roots", "A2", "--max-depth", "2"),
     ("automaton", "A2"),

@@ -182,25 +182,19 @@ def test_reflection_dominance_set_follows_root_dominance():
             assert {ck.is_reflection(u) for u in out} == set(roots)
 
 
-def test_default_order_bound_covers_bonds():
-    sysm = system("H3")
-    assert ck.default_order_bound(sysm) >= 10
-
-
-def test_order_past_the_bound_reads_zero():
+def test_order_of_a_finite_pair():
     sysm = system("I2(8)")
     r, t = sysm.generator(0), sysm.generator(1)
     for find in (ck.canonical_generators, ck.canonical_generators_repfree):
-        assert find(sysm, r, t, bound=8).order_m == 8
-        assert find(sysm, r, t, bound=7).order_m == 0
-    # past the bound, a pair that is not canonical still finds the
-    # canonical one: <1, 212> of I2(7) has rho_0 = 1 and rho_3 = 2
+        assert find(sysm, r, t).order_m == 8
+    # a pair that is not canonical still finds the canonical one:
+    # <1, 212> of I2(7) has rho_0 = 1 and rho_3 = 2
     sysm = system("I2(7)")
     r, t = sysm.element("1"), sysm.element("212")
     for find in (ck.canonical_generators, ck.canonical_generators_repfree):
-        sub = find(sysm, r, t, bound=6)
+        sub = find(sysm, r, t)
         assert {c.word for c in sub.canonical} == {(0,), (1,)}
-        assert sub.order_m == 0
+        assert sub.order_m == 7
 
 # the groups of the Dyer-oracle check: (spec, ball radius or None for
 # the whole finite group, pairs sampled or None for all of them); an
@@ -227,20 +221,19 @@ def _dyer_system(spec):
                          ids=[str(g[0]).replace(" ", "") for g in DYER_GROUPS])
 def test_canonical_pair_is_dyers(spec, radius, sample):
     """Both paths return chi(<r, t>) as Dyer defines it, and the order of
-    its product (0 past the default bound or when infinite)."""
+    its product (0 when infinite)."""
     sysm = _dyer_system(spec)
     refs = reflections_in_ball(sysm, radius)
     pairs = [(a, b) for i, a in enumerate(refs) for b in refs[i + 1:]]
     if sample is not None:
         pairs = random.Random(13).sample(pairs, sample)
-    bound = ck.default_order_bound(sysm)
     for r, t in pairs:
         chi, m = oracles.dyer_canonical(sysm, r, t)
         assert len(chi) == 2
         for find in (ck.canonical_generators, ck.canonical_generators_repfree):
             sub = find(sysm, r, t)
             assert set(sub.canonical) == set(chi), (find.__name__, r.word, t.word)
-            assert sub.order_m == (m if m <= bound else 0), (find.__name__, r.word, t.word)
+            assert sub.order_m == m, (find.__name__, r.word, t.word)
 
 
 @pytest.mark.parametrize("argv, printed", [

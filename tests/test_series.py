@@ -210,6 +210,43 @@ def test_dfa_series_of_infinite_language_runs_berlekamp_massey(
         dfa_series(build_automaton(sysm, 0, "red"))
 
 
+def _general_series(dfa):
+    """dfa_series without its finite-language shortcut: Berlekamp-Massey
+    on the first 2n + 1 counts, and the numerator cut at the recurrence
+    length."""
+    n = len(dfa.states)
+    counts = count_by_length(dfa, 2 * n)
+    den, length = berlekamp_massey(counts)
+    num = [sum(den[j] * counts[k - j] for j in range(min(k, len(den) - 1) + 1))
+           for k in range(length)]
+    return RationalSeries._reduced(Polynomial(num), Polynomial(den))
+
+
+@pytest.mark.parametrize("m", [0, 1])
+@pytest.mark.parametrize("kind", ["red", "pref"])
+@pytest.mark.parametrize("spec", [
+    "A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "D4", "H3", "I2(5)", "I2(8)"])
+def test_finite_language_shortcut_equals_the_general_path(spec, kind, m):
+    sysm = ck.CoxeterSystem(matrix=coxeter_matrix_from_descriptor(spec))
+    dfa = build_automaton(sysm, m, kind)
+    n = len(dfa.states)
+    assert not any(count_by_length(dfa, 2 * n + 4)[n:])
+    assert dfa_series(dfa) == _general_series(dfa)
+
+
+@pytest.mark.parametrize("m", [0, 1])
+@pytest.mark.parametrize("kind", ["red", "pref"])
+@pytest.mark.parametrize("spec", ["~A2", "U3"])
+def test_automaton_with_a_cycle_takes_no_shortcut(monkeypatch, spec, kind, m):
+    sysm = ck.CoxeterSystem(matrix=coxeter_matrix_from_descriptor(spec))
+    dfa = build_automaton(sysm, m, kind)
+    n = len(dfa.states)
+    assert any(count_by_length(dfa, 2 * n + 4)[n:])
+    monkeypatch.setattr(series, "berlekamp_massey", _no_berlekamp_massey)
+    with pytest.raises(_ReachedBerlekampMassey):
+        dfa_series(dfa)
+
+
 def test_pal_series_shifts_into_odd_degrees():
     # the infinite dihedral group: two palindromes of every odd length
     u2 = ck.CoxeterSystem(matrix=ck.preset("I2(inf)"))
