@@ -55,6 +55,27 @@ class Dfa:
         return "{%s}" % ",".join(labels[j] for j in key)
 
 
+def reflection_table(poset):
+    """images[s][i]: the index of s(b) for the i-th root b of a poset of
+    m-small roots, or None where s(b) is not one of them.
+
+    A cover lo -> hi by s swaps lo and hi.  Every lower cover of an
+    m-small root is m-small, so a pair with no cover has s(b) = b when
+    their pairing is zero, and otherwise s(b) is -a_s or a root above b
+    that is not m-small.
+    """
+    system = poset.system
+    images = [[None] * len(poset.roots) for _ in range(system.rank)]
+    for lo, hi, s, _ in poset.edges:
+        images[s][lo] = hi
+        images[s][hi] = lo
+    for s, img in enumerate(images):
+        for r in poset.roots:
+            if img[r.index] is None and not system.pairing(r.coords, s):
+                img[r.index] = r.index
+    return images
+
+
 def build_automaton(system, m, kind="red", limit=None):
     """Breadth-first construction over subsets of the m-small roots.
 
@@ -67,10 +88,7 @@ def build_automaton(system, m, kind="red", limit=None):
     for s in range(rank):
         if poset.roots[s].depth != 0:
             raise ArithmeticError("small-root enumeration lost a simple root")
-    images = [
-        [poset.index.get(system.reflect(r.coords, s)) for r in poset.roots]
-        for s in range(rank)
-    ]
+    images = reflection_table(poset)
     red = kind == "red"
     states = [(frozenset(), red)]
     ids = {states[0]: 0}
@@ -130,6 +148,31 @@ def count_by_length(dfa, max_len):
                     nxt[j] = nxt.get(j, 0) + c
         frontier = nxt
     return out + [0] * (max_len + 1 - len(out))
+
+
+def lump(dfa):
+    """Block of each state in the coarsest count-preserving partition.
+
+    Moore rounds from {final, non-final}: each round splits a block by
+    the multiset of its states' successor blocks, letters ignored, and
+    stops once no block splits.  Every state of a block then has the
+    same finality and the same number of transitions into each block.
+    Blocks are numbered 0..p-1.
+    """
+    table = dfa.table
+    finals = dfa.finals
+    block = [i in finals for i in range(len(table))]
+    count = len(set(block))
+    while True:
+        ids = {}
+        block = [
+            ids.setdefault((b, tuple(sorted([block[j] for j in row if j is not None]))),
+                           len(ids))
+            for b, row in zip(block, table)
+        ]
+        if len(ids) == count:
+            return block
+        count = len(ids)
 
 
 def low_elements(system, m, limit=None):

@@ -161,7 +161,7 @@ def cmd_automaton(args, out):
     out.write("kind=%s m=%d\n" % (dfa.kind, dfa.m))
     out.write("states: %d (distinct small sets: %d), final: %d, transitions: %d\n"
               % (len(dfa.states), dfa.set_count, len(dfa.finals),
-                 len(dfa.transitions)))
+                 sum(len(row) - row.count(None) for row in dfa.table)))
     if series is not None:
         _print_series("series", series, out)
     return 0

@@ -422,18 +422,15 @@ class CoxeterSystem:
             n = matrix.rank
             g = []
             for i in range(n):
-                row = []
-                for j in range(n):
-                    if i == j:
-                        row.append(field.one)
+                row = [g[j][i] for j in range(i)] + [field.one]
+                for j in range(i + 1, n):
+                    mij = matrix.entry(i, j)
+                    if mij == 0:
+                        row.append(field.from_rational(-1))
+                    elif mij == 2:
+                        row.append(field.zero)
                     else:
-                        mij = matrix.entry(i, j)
-                        if mij == 0:
-                            row.append(field.from_rational(-1))
-                        elif mij == 2:
-                            row.append(field.zero)
-                        else:
-                            row.append(-field.cos_pi_over(mij))
+                        row.append(-field.cos_pi_over(mij))
                 g.append(row)
             if field.degree == 1:
                 g = [[Fraction(x.rational()) for x in row] for row in g]
@@ -479,11 +476,12 @@ class CoxeterSystem:
         else:
             self.one, self.zero, self._dot = 1, 0, _rational_dot
         # the nonzero Cartan coefficients c_sj = 2B(a_s, a_j)/B(a_s, a_s), j != s;
-        # a rational norm divides as a Fraction, with no field inverse
+        # a unit norm doubles, another rational norm divides as a Fraction,
+        # with no field inverse
         self._neighbors = tuple(
-            tuple((j, _plain(self.gram[s][j] * (Fraction(2) / self._norm_q[s])))
-                  for j in range(n) if j != s and self.gram[s][j] != 0)
-            for s in range(n)
+            tuple((j, _plain(b + b if norm == 1 else b * (Fraction(2) / norm)))
+                  for j, b in enumerate(self.gram[s]) if j != s and b != 0)
+            for s, norm in enumerate(self._norm_q)
         )
         # the same coefficients by column: (t, pairing(a_s, t)) = (t, c_ts), t != s
         self._columns = tuple(

@@ -8,9 +8,11 @@ of their exact word counts, so every coefficient is exact.
 
 import math
 import sys
+from collections import Counter
 from fractions import Fraction
+from operator import mul
 
-from .automata import count_by_length
+from .automata import count_by_length, lump
 from .core import LimitExceeded
 from .field import _poly_divmod as _coeff_divmod, _poly_mul_into, _poly_trim, exact
 
@@ -193,15 +195,17 @@ class RationalSeries:
         return RationalSeries._reduced(self.num.shifted(j), self.den)
 
     def coefficients(self, count):
-        """First `count` power-series coefficients, exact."""
-        num = self.num.coeffs
-        den = self.den.coeffs
+        """First `count` power-series coefficients, exact.
+
+        With den(0) = 1 the recurrence never divides, so integral
+        coefficients (those of every automaton's series) expand in ints.
+        """
+        num = [exact(c) for c in self.num.coeffs]
+        tail = [exact(c) for c in self.den.coeffs[1:]]
         out = []
         for k in range(count):
-            c = num[k] if k < len(num) else Fraction(0)
-            for j in range(1, min(k, len(den) - 1) + 1):
-                c -= den[j] * out[k - j]
-            out.append(c)
+            c = num[k] if k < len(num) else 0
+            out.append(c - sum(map(mul, tail, reversed(out[max(0, k - len(tail)):]))))
         return out
 
     def to_obj(self, terms=None):
@@ -289,29 +293,58 @@ def berlekamp_massey(seq):
 def dfa_series(dfa):
     """Generating series of the words the automaton accepts.
 
-    The counts of an n-state automaton obey a linear recurrence of
-    order at most n, so Berlekamp-Massey on the first 2n + 1 exact
-    counts yields the reduced denominator; the numerator is the count
-    series times it, cut below the recurrence length.  The pair is
-    already in normal form: a common factor would give a shorter
-    recurrence, and den(0) = 1.  The recurrence is checked against
-    2n + 5 direct counts before returning: the product of den with the
-    counts must vanish from the recurrence length on.
+    The count of words of length k is c_k = u A^k f, with A the n x n
+    transition matrix, u the initial row and f the final column.  A
+    partition of the states into p blocks with indicator matrix P (n x p)
+    whose blocks each agree on finality and on the number of transitions
+    into every block (`lump`) gives a p x p matrix A' with A P = P A',
+    f = P f' and u' = u P, so c_k = u A^k P f' = u P A'^k f' = u' A'^k f':
+    the quotient counts the same words.  By Cayley-Hamilton on A' the
+    counts obey a linear recurrence of order at most p, so
+    Berlekamp-Massey on the first 2p + 1 counts yields the reduced
+    denominator; the numerator is the count series times it, cut below
+    the recurrence length.  The pair is already in normal form: a common
+    factor would give a shorter recurrence, and den(0) = 1.  The
+    recurrence is checked against 2p + 5 direct counts before returning:
+    the product of den with the counts must vanish from the recurrence
+    length on.
 
-    A finite language shows in the counts: c_k = u A^k f for the n x n
-    transition matrix A, so by Cayley-Hamilton each count from length n
-    on is fixed by the n counts before it, and n zero counts from length
-    n on make every later count zero.  The series is then the count
+    A finite language shows in the counts: each count from length p on
+    is fixed by the p counts before it, so p zero counts from length p
+    on make every later count zero, and the series is the count
     polynomial over 1, the reduced form Berlekamp-Massey would return.
-    Without a cycle the frontier empties within n letters, where the
-    count walk stops.
+    When every transition leads to a later state in breadth-first order
+    (every finite group) the language is finite outright, the count walk
+    is linear, and the refinement would cost more than it saves, so the
+    table is counted as it is.
     """
-    n = len(dfa.states)
-    check = 2 * n + 5
-    counts = count_by_length(dfa, check - 1)
-    if not any(counts[n:]):
-        return RationalSeries._reduced(Polynomial(counts[:n]), Polynomial([1]))
-    den, length = berlekamp_massey(counts[: 2 * n + 1])
+    table = dfa.table
+    if all(j > i for i, row in enumerate(table) for j in row if j is not None):
+        return RationalSeries._reduced(
+            Polynomial(count_by_length(dfa, len(table))), Polynomial([1]))
+    block = lump(dfa)
+    p = max(block) + 1
+    rows = [None] * p
+    for b, row in zip(block, table):
+        if rows[b] is None:
+            rows[b] = tuple(Counter(block[j] for j in row if j is not None).items())
+    final = [False] * p
+    for i in dfa.finals:
+        final[block[i]] = True
+    check = 2 * p + 5
+    counts = []
+    frontier = {block[dfa.initial]: 1}
+    while frontier and len(counts) < check:
+        counts.append(sum(c for b, c in frontier.items() if final[b]))
+        nxt = {}
+        for b, c in frontier.items():
+            for d, w in rows[b]:
+                nxt[d] = nxt.get(d, 0) + c * w
+        frontier = nxt
+    counts += [0] * (check - len(counts))
+    if not any(counts[p:]):
+        return RationalSeries._reduced(Polynomial(counts[:p]), Polynomial([1]))
+    den, length = berlekamp_massey(counts[: 2 * p + 1])
     prod = [
         sum(den[j] * counts[k - j] for j in range(min(k, len(den) - 1) + 1))
         for k in range(check)

@@ -8,8 +8,9 @@ import pytest
 import coxkit as ck
 from coxkit.automata import (
     accepts, build_automaton, count_by_length, dfa_to_dot, dfa_to_obj,
-    low_elements,
+    low_elements, lump, reflection_table,
 )
+from coxkit.core import coxeter_matrix_from_descriptor
 from oracles import reduced_word_trie
 
 
@@ -141,3 +142,55 @@ def test_low_elements_caps_the_automaton():
     with pytest.raises(ck.LimitExceeded):
         low_elements(system("~E7"), 0, limit=1000)
     assert time.perf_counter() - start < 10.0
+
+
+# (affine type, Coxeter number h and rank n of its finite type)
+SHI = [("~A2", 3, 2), ("~A3", 4, 3), ("~C2", 4, 2), ("~G2", 6, 2), ("~B3", 6, 3)]
+
+
+@pytest.mark.parametrize("m", [0, 1])
+@pytest.mark.parametrize("spec, h, n", SHI)
+def test_states_are_the_regions_of_the_shi_arrangement(spec, h, n, m):
+    """One state per region of the (m+1)-Shi arrangement of an affine
+    Weyl group: ((m+1)h+1)^n of them, for both kinds."""
+    sysm = system(spec)
+    for kind in ("red", "pref"):
+        assert len(build_automaton(sysm, m, kind).states) == ((m + 1) * h + 1) ** n
+
+
+@pytest.mark.parametrize("spec, states, blocks", [
+    ("~A3", 125, 24), ("~A4", 1296, 148), ("~D4", 2401, 209)])
+def test_block_counts_of_the_coarsest_partition(spec, states, blocks):
+    dfa = build_automaton(system(spec), 0, "red")
+    assert len(dfa.states) == states
+    assert max(lump(dfa)) + 1 == blocks
+
+
+LUMP_SPECS = ["A3", "B3", "~A2", "~C2", "~G2", "~A3", "~B3", "U3",
+              "[[1,3,3],[3,1,4],[3,4,1]]", "[[1,4,5],[4,1,0],[5,0,1]]"]
+
+
+@pytest.mark.parametrize("m", [0, 1])
+@pytest.mark.parametrize("spec", LUMP_SPECS)
+def test_lump_is_a_stable_partition(spec, m):
+    """Every block agrees on finality and on its multiset of successor
+    blocks, and the blocks are numbered 0..p-1."""
+    sysm = ck.CoxeterSystem(matrix=coxeter_matrix_from_descriptor(spec))
+    for kind in ("red", "pref"):
+        dfa = build_automaton(sysm, m, kind, limit=3000)
+        block = lump(dfa)
+        assert sorted(set(block)) == list(range(max(block) + 1))
+        seen = {}
+        for i, row in enumerate(dfa.table):
+            sig = (i in dfa.finals, sorted(block[j] for j in row if j is not None))
+            assert seen.setdefault(block[i], sig) == sig, (spec, kind, i)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+@pytest.mark.parametrize("spec", LUMP_SPECS + ["H3", "~C3", "I2(inf)"])
+def test_reflection_table_equals_the_reflect_lookup(spec, m):
+    sysm = ck.CoxeterSystem(matrix=coxeter_matrix_from_descriptor(spec))
+    poset = ck.m_small_roots(sysm, m)
+    want = [[poset.index.get(sysm.reflect(r.coords, s)) for r in poset.roots]
+            for s in range(sysm.rank)]
+    assert reflection_table(poset) == want

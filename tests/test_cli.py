@@ -1,5 +1,6 @@
 """Command-line behavior: output shape, exit codes, determinism."""
 
+import hashlib
 import json
 import time
 
@@ -62,6 +63,33 @@ def test_automaton_series(capsys):
     assert code == 0
     assert "states: 16" in out
     assert "series coefficients:" in out
+
+
+# The stdout of `automaton <spec> --kind <kind> --series` as counted on
+# the full automaton, 2n + 5 words per length before Berlekamp-Massey:
+# its SHA-256, the denominator's degree and the last line.
+HEAVY_SERIES = [
+    ("~A4", "red", "7f26e37dc140c811b4ea83cbdbb2eb1bff83f4bbf9163e513b78d388ca64aab8", 54,
+     "series coefficients: ['1', '5', '20', '70', '230', '700', '2080', '5910', '16310', '43890', '115900', '297850']"),
+    ("~A4", "pref", "b64780744d6da696523be1a738f4ad939a668e7b2fc10d7c93c0e54bdec87277", 4,
+     "series coefficients: ['0', '5', '10', '20', '40', '40', '80', '160', '320', '320', '640', '1280']"),
+    ("~D4", "red", "eeb31fd1124205e056680d9a55ea6f7551e6d362c789b49f7588c5d7b12fa086", 80,
+     "series coefficients: ['1', '5', '20', '68', '204', '600', '1752', '4800', '12696', '33000', '85896', '219288']"),
+    ("~D4", "pref", "58e1c1f1d84b9db910b7d4d856037e1ba16c47215389f6a6705bbc83edf09ad3", 5,
+     "series coefficients: ['0', '5', '8', '24', '48', '96', '96', '240', '720', '1440', '2880', '2880']"),
+]
+
+
+@pytest.mark.parametrize("spec, kind, digest, degree, last", [
+    pytest.param(*case, id="%s-%s" % case[:2]) for case in HEAVY_SERIES])
+def test_heavy_automaton_series_prints_what_the_full_count_printed(
+        capsys, spec, kind, digest, degree, last):
+    code, out, _ = run(capsys, "automaton", spec, "--kind", kind, "--series")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[-1] == last
+    assert lines[2].split(" den ")[1].count(",") == degree
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_automaton_json(capsys):

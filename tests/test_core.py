@@ -7,6 +7,7 @@ import pytest
 
 import coxkit as ck
 from coxkit.affine import affine_datum
+from coxkit.core import _plain
 from coxkit.field import AlgebraicNumber
 from coxkit.roots import _descend
 from oracles import reduced_word_trie
@@ -301,3 +302,73 @@ def test_matrix_rejects_non_integral_entries():
         with pytest.raises(ValueError):
             ck.CoxeterMatrix([[1, bad], [bad, 1]])
     assert ck.CoxeterMatrix([[1, 3.0], [3.0, 1]]).entry(0, 1) == 3
+
+
+def _gram_by_the_old_formula(matrix):
+    """The unitary Gram matrix with every off-diagonal entry computed on
+    its own, -cos(pi/m) from the field, and the Cartan coefficients as
+    B(a_s, a_j) times 2/|a_s|^2."""
+    field = ck.field_for_matrix(matrix)
+    n = matrix.rank
+    g = [[field.one if i == j
+          else field.from_rational(-1) if matrix.entry(i, j) == 0
+          else field.zero if matrix.entry(i, j) == 2
+          else -field.cos_pi_over(matrix.entry(i, j))
+          for j in range(n)] for i in range(n)]
+    if field.degree == 1:
+        g = [[Fraction(x.rational()) for x in row] for row in g]
+    norms = [_plain(g[s][s]) for s in range(n)]
+    neighbors = tuple(
+        tuple((j, _plain(g[s][j] * (Fraction(2) / norms[s])))
+              for j in range(n) if j != s and g[s][j] != 0)
+        for s in range(n))
+    columns = tuple(
+        tuple((t, c) for t in range(n) for j, c in neighbors[t] if j == s)
+        for s in range(n))
+    return tuple(tuple(row) for row in g), neighbors, columns
+
+
+def _typed(x):
+    """A value with its type, and an AlgebraicNumber's coefficients with theirs."""
+    if isinstance(x, AlgebraicNumber):
+        return ("alg", tuple((type(c), c) for c in x.coeffs))
+    return (type(x), x)
+
+
+def _random_matrices(count):
+    rng = random.Random(17)
+    out = []
+    for _ in range(count):
+        n = rng.choice((3, 4))
+        rows = [[1] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                rows[i][j] = rows[j][i] = rng.choice((2, 3, 4, 5, 6, 8, 0))
+        out.append(ck.CoxeterMatrix(rows))
+    return out
+
+
+def test_system_matches_the_old_gram_and_cartan_formulas():
+    """The Gram matrix is filled from its upper triangle and a unit norm
+    doubles B(a_s, a_j); both give the same values, of the same types."""
+    for matrix in [ck.preset(name) for name in FINITE_PRESETS + AFFINE_PRESETS] + _random_matrices(30):
+        sysm = ck.CoxeterSystem(matrix=matrix)
+        gram, neighbors, columns = _gram_by_the_old_formula(matrix)
+        assert [[_typed(x) for x in row] for row in sysm.gram] == \
+            [[_typed(x) for x in row] for row in gram], matrix
+        assert [[(j, _typed(c)) for j, c in row] for row in sysm._neighbors] == \
+            [[(j, _typed(c)) for j, c in row] for row in neighbors], matrix
+        assert sysm._columns == columns
+
+
+@pytest.mark.parametrize("name", ["~A3", "~B3", "~C3", "~G2", "~F4"])
+def test_custom_form_cartan_coefficients_match_the_old_formula(name):
+    sysm = affine_datum(name).system
+    assert sysm.mode == "custom"
+    n = sysm.rank
+    old = tuple(
+        tuple((j, _plain(sysm.gram[s][j] * (Fraction(2) / sysm._norm_q[s])))
+              for j in range(n) if j != s and sysm.gram[s][j] != 0)
+        for s in range(n))
+    assert [[(j, _typed(c)) for j, c in row] for row in sysm._neighbors] == \
+        [[(j, _typed(c)) for j, c in row] for row in old]

@@ -8,7 +8,7 @@ import pytest
 
 import coxkit as ck
 from coxkit import series
-from coxkit.automata import build_automaton, count_by_length
+from coxkit.automata import Dfa, build_automaton, count_by_length, lump
 from coxkit.core import coxeter_matrix_from_descriptor
 from coxkit.series import (
     Polynomial, RationalSeries,
@@ -232,6 +232,60 @@ def test_finite_language_shortcut_equals_the_general_path(spec, kind, m):
     n = len(dfa.states)
     assert not any(count_by_length(dfa, 2 * n + 4)[n:])
     assert dfa_series(dfa) == _general_series(dfa)
+
+
+def _random_matrix(seed):
+    """Rank 3 or 4, bonds from {2, 3, 4, 6, inf}."""
+    rng = random.Random(seed)
+    n = rng.choice((3, 4))
+    rows = [[1] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = rng.choice((2, 3, 4, 6, 0))
+    return rows
+
+
+LUMPED_CASES = (
+    [(spec, m) for spec in ("~A2", "~C2", "~G2") for m in (0, 1)]
+    + [(spec, 0) for spec in (
+        "~A3", "~B3", "~C3", "U3", "[[1,3,3],[3,1,4],[3,4,1]]",
+        "[[1,4,5],[4,1,0],[5,0,1]]", "A3", "B3", "H3", "I2(7)", "I2(inf)")]
+    + [(str(_random_matrix(seed)).replace(" ", ""), seed % 2) for seed in range(12)]
+)
+
+
+@pytest.mark.parametrize("spec, m", LUMPED_CASES)
+def test_lumped_series_equals_berlekamp_massey_on_the_full_automaton(spec, m):
+    """dfa_series counts words on the lumped automaton; the oracle runs
+    Berlekamp-Massey on 2n + 1 counts of the full table.  An automaton
+    past 800 states is skipped to keep the oracle's counts cheap."""
+    sysm = ck.CoxeterSystem(matrix=coxeter_matrix_from_descriptor(spec))
+    for kind in ("red", "pref"):
+        try:
+            dfa = build_automaton(sysm, m, kind, limit=800)
+        except ck.LimitExceeded:
+            continue
+        assert dfa_series(dfa) == _general_series(dfa), (spec, m, kind)
+
+
+def test_finite_language_with_a_dead_cycle_is_its_count_polynomial(monkeypatch):
+    """A cycle that reaches no final state fails the breadth-first
+    order test, so the table is lumped; the zero counts from length p on
+    still show the language is finite."""
+    monkeypatch.setattr(series, "berlekamp_massey", _no_berlekamp_massey)
+    # accepts the empty word and "1"; the letter 2 leads into the cycle 2 <-> 3
+    table = [(1, 2), (None, None), (3, None), (None, 2)]
+    dfa = Dfa(None, "red", 0, None, [((), None)] * 4, table, frozenset({0, 1}))
+    assert dfa_series(dfa) == RationalSeries(P(1, 1))
+
+
+def test_lumping_keeps_final_and_non_final_states_apart():
+    """States 1 (final) and 2 (not final) both lead back to 0, so only
+    their finality tells them apart: c_2k = c_2k+1 = 2^k."""
+    table = [(1, 2), (0, None), (0, None)]
+    dfa = Dfa(None, "red", 0, None, [((), None)] * 3, table, frozenset({0, 1}))
+    assert sorted(lump(dfa)) == [0, 1, 2]
+    assert dfa_series(dfa) == RationalSeries(P(1, 1), P(1, 0, -2)) == _general_series(dfa)
 
 
 @pytest.mark.parametrize("m", [0, 1])
