@@ -22,8 +22,7 @@ from .automata import build_automaton, dfa_to_dot, dfa_to_obj
 from .core import CoxeterSystem, LimitExceeded, coxeter_matrix_from_descriptor, \
     format_word, is_reflection, parse_word
 from .dihedral import canonical_generators
-from .prefixes import _palindromic_word, _prefixes_of, is_reflection_prefix, \
-    reflections_up_to
+from .prefixes import _palindrome, _prefixes_of, is_reflection_prefix, reflections_up_to
 from .roots import root_poset
 from .series import dfa_series
 
@@ -198,7 +197,8 @@ def cmd_prefixes(args, out):
     root = is_reflection(w)
     if root is not None:
         prefs = _prefixes_of(system, w, root, args.max_roots)
-        pal = _palindromic_word(system, root)
+        # the first prefix is the one the greedy descent spells
+        pal = _palindrome(prefs[0].element.word)
         if args.json:
             obj = {
                 "reflection": format_word(w.word, system.rank),

@@ -7,12 +7,23 @@ prefixes of t: the elements with a unique right descent r such that
 conjugating r keeps every letter, l(p r p^-1) = 2 l(p) - 1.  Prefix
 words of t are spelled by the saturated chains of the root poset that
 end at the root of t.
+
+The greedy descent of a root (`roots._descend`) spells the shortlex
+normal form of its prefix, so no prefix is multiplied out to name it:
+* any reduced word u_1 .. u_k r of a prefix p of t closes up to a
+  reduced palindrome of t, so it spells a chain of the root poset down
+  from a_t;
+* the descent takes the least lower-cover letter at every step, so its
+  word is the lexicographically least chain word of all;
+* so that word is the least reduced word of its own prefix, and the
+  least normal form among all the prefixes of t.
 """
 
 from . import roots
 from .core import GroupElement, _left_mul_gen, _right_mul_gen, _shortlex_word, \
     format_word, is_reflection
-from .roots import _descend, _simple_index, root_depth, root_poset
+from .field import sign
+from .roots import _descend, _simple_index, reflection_from_root, root_depth, root_poset
 
 
 class ReflectionPrefix:
@@ -41,39 +52,38 @@ def _reflection_root(system, t):
     return root
 
 
-def is_reflection_prefix(system, w):
-    """The ReflectionPrefix record of w, or None.
+def _prefix_root(system, w):
+    """The root b of w r w^-1 when w is a prefix, else None.
 
-    Tests the definition directly: the right descent r must be unique
-    and the conjugate w r w^-1 must have length 2 l(w) - 1.
+    With r the last letter of w, w is a prefix exactly when B(a, b) > 0
+    for every inversion a of w; a second right descent r' fails, as
+    B(-w(a_r'), b) = B(a_r', a_r) <= 0.  B is invariant, so for the normal
+    form u_1 .. u_l = r the inversion u_1 .. u_{j-1}(a_{u_j}) pairs with b
+    as a_{u_j} does with u_{j-1} .. u_1(b): climbing from a_r by the
+    letters u_{l-1} .. u_1, each must raise the root (pair negatively).
     """
     if w.is_identity():
         raise ValueError("the identity has no descent to close up")
-    des = w.right_descents()
-    if len(des) != 1:
+    g = system.simple_root(w.word[-1])
+    for s in reversed(w.word[:-1]):
+        c = system.pairing(g, s)
+        if sign(c) >= 0:
+            return None
+        g = g[:s] + (g[s] - c,) + g[s + 1:]
+    return g
+
+
+def is_reflection_prefix(system, w):
+    """The ReflectionPrefix record of w, or None."""
+    root = _prefix_root(system, w)
+    if root is None:
         return None
-    r = des[0]
-    t = w * system.generator(r) * w.inverse()
-    if t.length != 2 * w.length - 1:
-        return None
-    root = tuple(-x for x in w.act(system.simple_root(r)))
-    return ReflectionPrefix(w, t, root, r)
+    return ReflectionPrefix(w, reflection_from_root(system, root), root, w.word[-1])
 
 
 def check_prefix_bilinear(system, w):
-    """Prefix test through the form alone.
-
-    With r a right descent of w and b the root of w r w^-1, the element
-    w is a prefix exactly when B(a, b) > 0 for every inversion a of w.
-    """
-    if w.is_identity():
-        raise ValueError("the identity has no descent to close up")
-    r = w.word[-1]
-    b = tuple(-x for x in w.act(system.simple_root(r)))
-    for a in w.inversion_set():
-        if not system.bilinear(a, b) > 0:
-            return False
-    return True
+    """Prefix test through the form alone (see _prefix_root)."""
+    return _prefix_root(system, w) is not None
 
 
 def prefix_of_reflection(system, t):
@@ -143,15 +153,10 @@ def _palindrome(prefix_word):
 
 
 def palindromic_word(system, t):
-    """A reduced word for the reflection t of the shape u r reverse(u)."""
-    return _palindromic_word(system, _reflection_root(system, t))
-
-
-def _palindromic_word(system, root):
-    """palindromic_word of the reflection through root: the normal form
-    of the prefix its greedy descent spells, closed up."""
-    steps, r = _descend(system, root)
-    return _palindrome(system.element([s for s, _ in steps] + [r]).word)
+    """A reduced word for the reflection t of the shape u r reverse(u):
+    the greedy descent word of its root, closed up."""
+    steps, r = _descend(system, _reflection_root(system, t))
+    return _palindrome(tuple(s for s, _ in steps) + (r,))
 
 
 def reflections_up_to(system, max_length, limit=None):
@@ -164,10 +169,9 @@ def reflections_up_to(system, max_length, limit=None):
     The greedy descent of each root is read off the poset: its first
     letter s is the least letter of a lower cover, and the rest is the
     descent of that cover, found earlier in breadth-first order.  So
-    t = s t' s for the cover's reflection t', and the prefix p the
-    descent spells is s p', with inverse p'^-1 s: two generator
-    products for t, which is its own inverse, and one for p^-1, each
-    stripped to its normal form once.
+    t = s t' s for the cover's reflection t', two generator products
+    stripped to a normal form once (t is its own inverse), and the
+    descent word, s then the cover's, is the normal form of its prefix.
     """
     if max_length < 1:
         return []
@@ -177,14 +181,14 @@ def reflections_up_to(system, max_length, limit=None):
     for i, downs in enumerate(poset.down):
         if downs:
             s, lo, _ = min(downs)
-            rows, p_inv = mats[lo]
+            rows, word = mats[lo]
             rows = _right_mul_gen(system, _left_mul_gen(system, rows, s), s)
-            p_inv = _right_mul_gen(system, p_inv, s)
+            word = (s,) + word
         else:
-            rows = p_inv = _right_mul_gen(system, system._id_rows, i)
-        mats.append((rows, p_inv))
+            rows, word = _right_mul_gen(system, system._id_rows, i), (i,)
+        mats.append((rows, word))
         t = GroupElement(system, rows, rows, _shortlex_word(system, rows))
-        out.append((t, _palindrome(_shortlex_word(system, p_inv))))
+        out.append((t, _palindrome(word)))
     out.sort(key=lambda pair: (pair[0].length, pair[0].word))
     return out
 

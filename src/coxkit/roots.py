@@ -231,10 +231,10 @@ def _descend(system, coords):
     Each step takes the first letter s with B(g, a_s) > 0, which lowers
     the depth of the current root g by exactly 1.  Returns the steps as
     (letter, pairing) pairs, c = 2B(g, a_s)/|a_s|^2 taken before the
-    step, and the final simple letter r; the letters followed by r spell
-    a prefix of the reflection of the root.  A step from a positive
-    non-simple root gives a positive root, so a coordinate that turns
-    negative proves the input was not one.
+    step, and the final simple letter r; the letters then r spell the
+    normal form of a prefix of the root's reflection.  A step from a
+    positive non-simple root gives a positive root, so a coordinate
+    that turns negative proves the input was not one.
     """
     g = tuple(coords)
     steps = []

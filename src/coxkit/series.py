@@ -220,24 +220,17 @@ class RationalSeries:
             "den": [str(c) for c in self.den.coeffs],
         }
         if terms is not None:
-            coeffs = self.coefficients(terms)
-            _check_printable(coeffs)
-            obj["coefficients"] = [str(c) for c in coeffs]
+            texts = []
+            for k, c in enumerate(self.coefficients(terms)):
+                try:
+                    texts.append(str(c))
+                except ValueError:
+                    raise LimitExceeded(
+                        "the coefficient of q^%d has more than %d digits, the "
+                        "interpreter's limit for printing an integer; lower --terms"
+                        % (k, sys.get_int_max_str_digits())) from None
+            obj["coefficients"] = texts
         return obj
-
-
-def _check_printable(coeffs):
-    """Raise LimitExceeded where str() would refuse a coefficient."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if not limit:
-        return
-    bound = 10 ** limit
-    for k, c in enumerate(coeffs):
-        if abs(c.numerator) >= bound or c.denominator >= bound:
-            raise LimitExceeded(
-                "the coefficient of q^%d has more than %d digits, the "
-                "interpreter's limit for printing an integer; lower --terms"
-                % (k, limit))
 
 
 def pal_series(pref):

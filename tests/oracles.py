@@ -29,21 +29,23 @@ def reduced_word_trie(system, max_len):
     return out
 
 
-def palindrome_closure_length(system, w):
-    """Length of w r w^{-1} where r closes the single descent of w."""
+def reflection_prefix_brute(system, w):
+    """(w r w^-1, -w(a_r), r) when the nonempty w is a reflection-prefix
+    by the definition, else None: w has a unique right descent r, and
+    the conjugate w r w^-1, multiplied out, has length 2 l(w) - 1."""
     desc = w.right_descents()
     if len(desc) != 1:
         return None
     r = desc[0]
-    return (w * system.generator(r) * w.inverse()).length
+    t = w * system.generator(r) * w.inverse()
+    if t.length != 2 * w.length - 1:
+        return None
+    return t, tuple(-x for x in w.act(system.simple_root(r))), r
 
 
 def is_prefix_brute(system, w):
     """Definitional reflection-prefix test on a nonempty element."""
-    if w.length == 0:
-        return False
-    got = palindrome_closure_length(system, w)
-    return got is not None and got == 2 * w.length - 1
+    return w.length > 0 and reflection_prefix_brute(system, w) is not None
 
 
 def prefix_word_brute(system, word, el):

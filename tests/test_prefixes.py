@@ -7,7 +7,10 @@ import pytest
 
 import coxkit as ck
 from coxkit.cli import main
-from oracles import reduced_word_trie, is_prefix_brute, reflection_census
+from coxkit.prefixes import _palindrome
+from coxkit.roots import _descend
+from oracles import reduced_word_trie, is_prefix_brute, reflection_census, \
+    reflection_prefix_brute
 
 
 def system(name):
@@ -33,29 +36,42 @@ def test_generators_are_prefixes_of_themselves():
         assert p.root == sysm.simple_root(s)
 
 
+# Balls holding 1,010 elements other than the identity, 525 of them prefixes.
+DEFINITION_BALLS = [
+    ("A3", 7), ("B3", 9), ("H3", 15), ("~A2", 8), ("U3", 6), ("~G2", 8), ("F4", 8),
+    ("[[1,4,5],[4,1,0],[5,0,1]]", 6),
+]
+
+
 def test_prefix_record_consistency():
-    sysm = system("~A2")
-    for word, el in reduced_word_trie(sysm, 6):
-        if not word:
-            continue
-        p = ck.is_reflection_prefix(sysm, el)
-        assert (p is not None) == is_prefix_brute(sysm, el)
-        if p is None:
-            continue
-        assert p.element == el
-        t = el * sysm.generator(p.descent) * el.inverse()
-        assert p.reflection == t
-        assert t.length == 2 * el.length - 1
-        assert ck.is_reflection(t) == p.root
+    """is_reflection_prefix reads the form and builds the reflection from
+    its root; the oracle multiplies w r w^-1 out and measures its length."""
+    elements = prefixes = 0
+    for name, radius in DEFINITION_BALLS:
+        sysm = system(name)
+        for w in ck.cayley_bfs(sysm, max_length=radius):
+            if w.is_identity():
+                continue
+            elements += 1
+            got = ck.is_reflection_prefix(sysm, w)
+            want = reflection_prefix_brute(sysm, w)
+            assert (got is None) == (want is None), (name, w.word)
+            if got is None:
+                continue
+            prefixes += 1
+            t, root, r = want
+            assert (got.reflection.word, got.root, got.descent) == (t.word, root, r)
+            assert got.element is w and got.reflection == t
+            assert ck.is_reflection(t) == root
+    assert (elements, prefixes) == (1010, 525)
 
 
 def test_bilinear_test_agrees():
     sysm = ck.CoxeterSystem(
         matrix=ck.CoxeterMatrix([[1, 3, 3], [3, 1, 4], [3, 4, 1]]))
     for word, el in reduced_word_trie(sysm, 6):
-        if not word or len(el.right_descents()) != 1:
-            continue
-        assert ck.check_prefix_bilinear(sysm, el) == is_prefix_brute(sysm, el)
+        if word:
+            assert ck.check_prefix_bilinear(sysm, el) == is_prefix_brute(sysm, el)
 
 
 def test_prefixes_of_listing():
@@ -120,6 +136,54 @@ def test_prefix_of_reflection_is_listed():
         one = ck.prefix_of_reflection(sysm, w)
         assert one.reflection == w
         assert one.element in {p.element for p in ck.prefixes_of(sysm, w)}
+
+
+def _random_matrix(seed):
+    """Rank 3 or 4, bonds from {2, 3, 4, 5, 6, inf}."""
+    rng = random.Random(seed)
+    n = rng.choice((3, 4))
+    rows = [[1] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = rng.choice((2, 3, 4, 5, 6, 0))
+    return str(rows).replace(" ", "")
+
+
+# (group, depth cap); finite groups are taken whole.
+DESCENT_GROUPS = [
+    ("A3", 30), ("B4", 30), ("H3", 30), ("H4", 30), ("F4", 30), ("E6", 30),
+    ("~A2", 20), ("~B3", 12), ("~G2", 20), ("U3", 6), ("U4", 4),
+    ("[[1,3,3],[3,1,4],[3,4,1]]", 8),
+] + [(m, 6 if len(json.loads(m)) == 3 else 4) for m in map(_random_matrix, range(15))]
+
+
+def _descent_word(sysm, coords):
+    steps, r = _descend(sysm, coords)
+    return tuple(s for s, _ in steps) + (r,)
+
+
+@pytest.mark.parametrize("name, depth", DESCENT_GROUPS)
+def test_descent_word_is_the_normal_form_of_its_prefix(name, depth):
+    """The greedy descent word of every root is the shortlex normal form
+    of the prefix it spells, so it is read off without a group product."""
+    sysm = system(name)
+    for root in ck.root_poset(sysm, max_depth=depth).roots:
+        word = _descent_word(sysm, root.coords)
+        assert sysm.element(word).word == word, (name, root.coords)
+
+
+@pytest.mark.parametrize("name, depth", DESCENT_GROUPS[:12])
+def test_descent_prefix_is_the_least_prefix(name, depth):
+    """The descent word is the least normal form among all the prefixes
+    of its reflection, so the first listed prefix closes up to the
+    palindromic word."""
+    sysm = system(name)
+    roots = ck.root_poset(sysm, max_depth=min(depth, 6)).roots
+    for root in random.Random(23).sample(roots, min(12, len(roots))):
+        t = ck.reflection_from_root(sysm, root.coords)
+        first = ck.prefixes_of(sysm, t)[0]
+        assert first.element.word == _descent_word(sysm, root.coords)
+        assert ck.palindromic_word(sysm, t) == _palindrome(first.element.word)
 
 
 def test_palindromic_word_spells_reflection():

@@ -1,15 +1,23 @@
-"""The command-line examples of README.md print what the README shows.
+"""The examples of README.md print what the README shows.
 
 Every `$ coxkit ...` line of a fenced block runs through `cli.main`; the
 lines shown under it must appear in the real output in the same order.
 A shown line containing `...` stands for any line that starts with the
 text before the `...`.
+
+Every ```python block runs statement by statement in one namespace, and
+an expression statement whose line ends in a comment must evaluate to
+the value that comment starts with: `w.length  # 4`.
 """
 
+import ast
+import io
 import os
+import re
 import shlex
 import subprocess
 import sys
+import tokenize
 
 import pytest
 
@@ -52,6 +60,39 @@ def test_readme_example(capsys, argv, shown):
     real = iter(capsys.readouterr().out.splitlines())
     for want in shown:
         assert any(_matches(want, line) for line in real), want
+
+
+def _python_blocks():
+    with open(README) as fh:
+        return re.findall(r"^```python\n(.*?)^```", fh.read(), re.M | re.S)
+
+
+def _shows(comment, value):
+    """Whether comment starts with repr(value), then ends or goes on
+    after a space or a comma."""
+    text = repr(value)
+    return comment == text or comment.startswith((text + " ", text + ","))
+
+
+def test_readme_has_python_blocks():
+    assert len(_python_blocks()) >= 2
+
+
+@pytest.mark.parametrize("block", [
+    pytest.param(block, id=block.splitlines()[0]) for block in _python_blocks()])
+def test_readme_python_block(block):
+    comments = {tok.start[0]: tok.string[1:].strip()
+                for tok in tokenize.generate_tokens(io.StringIO(block).readline)
+                if tok.type == tokenize.COMMENT}
+    namespace = {}
+    for stmt in ast.parse(block).body:
+        if not isinstance(stmt, ast.Expr):
+            exec(compile(ast.Module([stmt], []), README, "exec"), namespace)
+            continue
+        value = eval(compile(ast.Expression(stmt.value), README, "eval"), namespace)
+        comment = comments.get(stmt.end_lineno)
+        if comment is not None:
+            assert _shows(comment, value), (ast.unparse(stmt), value)
 
 
 def test_python_m_coxkit_prints_what_main_prints(capsys):

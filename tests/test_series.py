@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ import pytest
 import coxkit as ck
 from coxkit import series
 from coxkit.automata import Dfa, build_automaton, count_by_length, lump
-from coxkit.core import coxeter_matrix_from_descriptor
+from coxkit.core import LimitExceeded, coxeter_matrix_from_descriptor
 from coxkit.series import (
     Polynomial, RationalSeries,
     berlekamp_massey, dfa_series, is_palindromic, pal_series,
@@ -179,6 +180,36 @@ def test_dfa_series_matches_counts():
         n = 3 * len(dfa.states)
         assert gf.coefficients(n + 1) == [
             Fraction(c) for c in count_by_length(dfa, n)]
+
+
+@pytest.mark.parametrize("spec, kind", [
+    ("A3", "pref"), ("~A2", "red"), ("~G2", "pref"), ("U3", "red"),
+    ("[[1,4,5],[4,1,0],[5,0,1]]", "red")])
+def test_automaton_series_coefficients_are_ints(spec, kind):
+    """An automaton's series has integral num and den, so its
+    coefficients expand in ints, never in Fractions."""
+    sysm = ck.CoxeterSystem(matrix=coxeter_matrix_from_descriptor(spec))
+    dfa = build_automaton(sysm, 0, kind)
+    coeffs = dfa_series(dfa).coefficients(30)
+    assert [type(c) for c in coeffs] == [int] * 30
+    assert coeffs == count_by_length(dfa, 29)
+
+
+@pytest.mark.parametrize("den", [[1, -10 ** 100], [1, Fraction(-1, 10 ** 100)]])
+def test_to_obj_names_the_first_coefficient_past_the_digit_limit(den):
+    """q^k of 1/(1 - 10^100 q), or of 1/(1 - q/10^100), has a numerator,
+    or a denominator, of 100k + 1 digits: q^6 prints under a limit of
+    640 digits, and q^7 is named in the error."""
+    ser = RationalSeries(P(1), Polynomial(den))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert len(ser.to_obj(7)["coefficients"][6].replace("1/", "")) == 601
+        with pytest.raises(LimitExceeded, match=r"^the coefficient of q\^7 has more "
+                           r"than 640 digits, .*; lower --terms$"):
+            ser.to_obj(8)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 class _ReachedBerlekampMassey(Exception):
