@@ -116,7 +116,7 @@ def affine_datum(name):
     for i in range(n):
         for j in range(n):
             ext[i][j] = gram[i][j]
-    w2 = finite_poset.roots[finite_poset.index[omega]].norm_sq
+    w2 = finite_poset.norms[finite_poset.index[omega]]
     basis = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     for i in range(n):
         b = finite.bilinear(basis[i], omega)
@@ -128,17 +128,17 @@ def affine_datum(name):
 
 def _highest_root(finite, poset):
     """The coefficientwise maximum of the positive roots."""
-    best = max(poset.roots, key=lambda r: sum(r.coords))
-    w2 = best.norm_sq
-    for r in poset.roots:
-        if any(c > b for c, b in zip(r.coords, best.coords)):
+    best = max(poset.coords, key=sum)
+    w2 = poset.norms[poset.index[best]]
+    for coords, norm in zip(poset.coords, poset.norms):
+        if any(c > b for c, b in zip(coords, best)):
             raise ArithmeticError("no coefficientwise-largest root")
-        if r.norm_sq > w2:
+        if norm > w2:
             raise ArithmeticError("a root is longer than the highest root")
-        num = 2 * finite.bilinear(r.coords, best.coords)
+        num = 2 * finite.bilinear(coords, best)
         if num not in (0, w2, 2 * w2):
             raise ArithmeticError("highest-root pairing out of range")
-    return tuple(best.coords)
+    return best
 
 
 def _orbit_split(poset, omega):
@@ -151,8 +151,8 @@ def _orbit_split(poset, omega):
     highest root.
     """
     groups = {}
-    for r in poset.roots:
-        groups.setdefault(r.norm_sq, []).append(r.index)
+    for i, norm in enumerate(poset.norms):
+        groups.setdefault(norm, []).append(i)
     orbits = sorted(groups.values(), key=len)
     if len(orbits) > 2:
         raise ArithmeticError("more than two root orbits")
@@ -192,10 +192,10 @@ def orbit_series(datum, orbit_index):
     if cached is not None:
         return cached
     depths = {}
+    poset = datum.finite_poset
     for i in datum.orbits[orbit_index]:
-        root = datum.finite_poset.roots[i]
-        a = root.coords
-        depths[datum.root_rep(tuple(a) + (0,))] = root.depth
+        a = poset.coords[i]
+        depths[datum.root_rep(a + (0,))] = poset.depths[i]
         coords = tuple(w - c for w, c in zip(datum.omega, a)) + (1,)
         depths[datum.root_rep(coords)] = root_depth(datum.system, coords)
     m = max(depths.values())
@@ -292,7 +292,7 @@ def affine_slice(datum, orbit_index, k):
         j = poset.index.get(datum.rep_coords(rep))
         if j is None:
             raise ArithmeticError("slice escaped the computed depth")
-        depths[rep] = poset.roots[j].depth
+        depths[rep] = poset.depths[j]
         ids[j] = rep
     edges = []
     for lo, hi, s, long_step in poset.edges:
@@ -318,7 +318,7 @@ def affine_to_obj(datum, terms=None):
     obj = {
         "type": datum.name,
         "rank": datum.finite.rank,
-        "positive_roots": len(datum.finite_poset.roots),
+        "positive_roots": len(datum.finite_poset),
         "highest_root": [str(c) for c in datum.omega],
         "orbit_series": orbits,
         "depth_numerator": [str(c) for c in p.coeffs],

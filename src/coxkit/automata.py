@@ -65,14 +65,14 @@ def reflection_table(poset):
     that is not m-small.
     """
     system = poset.system
-    images = [[None] * len(poset.roots) for _ in range(system.rank)]
+    images = [[None] * len(poset) for _ in range(system.rank)]
     for lo, hi, s, _ in poset.edges:
         images[s][lo] = hi
         images[s][hi] = lo
     for s, img in enumerate(images):
-        for r in poset.roots:
-            if img[r.index] is None and not system.pairing(r.coords, s):
-                img[r.index] = r.index
+        for i, coords in enumerate(poset.coords):
+            if img[i] is None and not system.pairing(coords, s):
+                img[i] = i
     return images
 
 
@@ -86,7 +86,7 @@ def build_automaton(system, m, kind="red", limit=None):
     poset = m_small_roots(system, m)
     rank = system.rank
     for s in range(rank):
-        if poset.roots[s].depth != 0:
+        if poset.depths[s] != 0:
             raise ArithmeticError("small-root enumeration lost a simple root")
     images = reflection_table(poset)
     red = kind == "red"

@@ -99,49 +99,53 @@ def _print_series(name, obj, out):
     out.write("%s coefficients: %s\n" % (name, obj["coefficients"]))
 
 
+# one root and one cover of a `roots --json` report, as json.dumps(obj, indent=2)
+# writes them inside the report's lists
+_ROOT_JSON = ('\n    {\n      "label": %s,\n      "coords": [\n        %s\n      ],'
+              '\n      "depth": %d,\n      "dp_inf": %d\n    }')
+_COVER_JSON = '\n    [\n      %s,\n      %s,\n      %d,\n      %s\n    ]'
+
+
+def _roots_json(system, max_depth, poset):
+    """The text of json.dumps(report, indent=2) for the `roots` report,
+    one template per root and per cover."""
+    enc = encode_basestring_ascii
+    names = [enc(label) for label in poset.labels()]
+    roots = ",".join(
+        _ROOT_JSON % (name, ",\n        ".join(map(enc, text)), d, dpinf)
+        for name, text, d, dpinf in zip(names, poset.coord_texts(), poset.depths, poset.dpinfs))
+    covers = ",".join(
+        _COVER_JSON % (names[lo], names[hi], s + 1, "true" if longe else "false")
+        for lo, hi, s, longe in poset.edges)
+    return ('{\n  "rank": %d,\n  "max_depth": %d,\n  "roots": [%s\n  ],\n  "covers": %s\n}'
+            % (system.rank, max_depth, roots, "[%s\n  ]" % covers if covers else "[]"))
+
+
 def cmd_roots(args, out):
     system = _system(args.spec)
     poset = root_poset(system, max_depth=args.max_depth, limit=args.max_roots)
     if args.dot:
         _write_file(args.dot, poset.to_dot())
-    labels = poset.labels()
     if args.json:
-        texts = poset.coord_texts()
-        obj = {
-            "rank": system.rank,
-            "max_depth": args.max_depth,
-            "roots": [
-                {
-                    "label": labels[i],
-                    "coords": texts[i],
-                    "depth": r.depth,
-                    "dp_inf": r.dpinf,
-                }
-                for i, r in enumerate(poset.roots)
-            ],
-            "covers": [
-                [labels[lo], labels[hi], s + 1, bool(longe)]
-                for lo, hi, s, longe in poset.edges
-            ],
-        }
-        out.write(_json(obj) + "\n")
+        out.write(_roots_json(system, args.max_depth, poset) + "\n")
         return 0
-    by_depth = {}
-    for i, r in enumerate(poset.roots):
-        by_depth.setdefault(r.depth, []).append(i)
-    for d in sorted(by_depth):
-        out.write("depth %d:\n" % d)
-        for i in by_depth[d]:
-            r = poset.roots[i]
-            line = "  %s  dp_inf=%d" % (labels[i], r.dpinf)
-            if args.poset:
-                ups = [
-                    "%d:%s%s" % (s + 1, labels[j], "(long)" if longe else "")
-                    for s, j, longe in poset.up[i]
-                ]
-                line += "  covers: " + (", ".join(ups) if ups else "-")
-            out.write(line + "\n")
-    out.write("%d roots\n" % len(poset.roots))
+    labels = poset.labels()
+    up = poset.up if args.poset else None
+    lines = []
+    depth = None
+    # the columns are in depth order, so each depth's roots come together
+    for i, (label, d, dpinf) in enumerate(zip(labels, poset.depths, poset.dpinfs)):
+        if d != depth:
+            depth = d
+            lines.append("depth %d:" % d)
+        line = "  %s  dp_inf=%d" % (label, dpinf)
+        if up is not None:
+            ups = ", ".join("%d:%s%s" % (s + 1, labels[j], "(long)" if longe else "")
+                            for s, j, longe in up[i])
+            line += "  covers: " + (ups or "-")
+        lines.append(line)
+    lines.append("%d roots\n" % len(labels))
+    out.write("\n".join(lines))
     return 0
 
 

@@ -20,10 +20,10 @@ normal form of its prefix, so no prefix is multiplied out to name it:
 """
 
 from . import roots
-from .core import GroupElement, _left_mul_gen, _right_mul_gen, _shortlex_word, \
+from .core import GroupElement, LimitExceeded, _left_mul_gen, _right_mul_gen, _shortlex_word, \
     format_word, is_reflection
 from .field import sign
-from .roots import _descend, _simple_index, reflection_from_root, root_depth, root_poset
+from .roots import _close_up, _descend, _simple_index, root_depth, root_poset
 
 
 class ReflectionPrefix:
@@ -74,11 +74,12 @@ def _prefix_root(system, w):
 
 
 def is_reflection_prefix(system, w):
-    """The ReflectionPrefix record of w, or None."""
+    """The ReflectionPrefix record of w, or None; the reflection is w's
+    normal form, which _prefix_root has just climbed, closed up."""
     root = _prefix_root(system, w)
     if root is None:
         return None
-    return ReflectionPrefix(w, reflection_from_root(system, root), root, w.word[-1])
+    return ReflectionPrefix(w, _close_up(system, w.word), root, w.word[-1])
 
 
 def check_prefix_bilinear(system, w):
@@ -101,7 +102,7 @@ def prefixes_of(system, t, limit=None):
     down to a simple root; the chain letters followed by the simple
     letter spell a prefix word.  Distinct chains can spell the same
     element, so the result is deduplicated.  limit caps the roots the
-    poset may enumerate.
+    walk may visit.
     """
     return _prefixes_of(system, t, _reflection_root(system, t), limit)
 
@@ -109,8 +110,12 @@ def prefixes_of(system, t, limit=None):
 def _prefixes_of(system, t, root, limit):
     """prefixes_of for a reflection t whose root is already known.
 
-    A state of the walk is a root with the element spelled by the chain
-    letters above it.  Two chains that reach one root with one element
+    The walk starts at the root of t and visits only the roots below it:
+    the lower covers of a non-simple root b are the s(b) = b - c a_s with
+    c = pairing(b, s) > 0, each one less deep, and the chains end at the
+    simple roots.  limit caps the distinct roots visited.  A state of
+    the walk is a root with the element spelled by the chain letters
+    above it.  Two chains that reach one root with one element
     go on alike, so each state is expanded once, and the walk grows with
     the states, not with the chains, whose number can grow exponentially
     with the depth.  A state carries the element's matrix and inverse,
@@ -118,21 +123,25 @@ def _prefixes_of(system, t, root, limit):
     stripped to its normal form once, at the end.
     """
     dp = root_depth(system, root)
-    poset = root_poset(system, max_depth=dp, limit=limit)
+    covers = {}
     leaves = {}
     idr = system._id_rows
-    stack = [(poset.index_of(root), idr, idr)]
+    stack = [(root, idr, idr)]
     seen = set()
     while stack:
-        i, rows, inv = stack.pop()
-        downs = poset.down[i]
+        b, rows, inv = stack.pop()
+        downs = covers.get(b)
+        if downs is None:
+            if limit is not None and len(covers) >= limit:
+                raise LimitExceeded("root enumeration exceeded %d" % limit)
+            downs = covers[b] = _lower_covers(system, b)
         if not downs:
-            s = _simple_index(system, poset.roots[i].coords)
+            s = _simple_index(system, b)
             rows = _right_mul_gen(system, rows, s)
             if rows not in leaves:
                 leaves[rows] = (_left_mul_gen(system, inv, s), s)
             continue
-        for s, lo, _ in downs:
+        for s, lo in downs:
             head = _right_mul_gen(system, rows, s)
             if (lo, head) not in seen:
                 seen.add((lo, head))
@@ -144,6 +153,15 @@ def _prefixes_of(system, t, root, limit):
             raise ArithmeticError("chain word for a prefix is not reduced")
         out.append(ReflectionPrefix(p, t, root, s))
     return sorted(out, key=lambda pre: pre.element.word)
+
+
+def _lower_covers(system, b):
+    """(letter, root) for each lower cover of a positive root b; none for
+    a simple root, which its reflection sends negative."""
+    if _simple_index(system, b) is not None:
+        return []
+    return [(s, b[:s] + (b[s] - c,) + b[s + 1:]) for s in range(system.rank)
+            if sign(c := system.pairing(b, s)) > 0]
 
 
 def _palindrome(prefix_word):

@@ -18,6 +18,9 @@ and the roots it dominates.
 
 from __future__ import annotations
 
+import functools
+import math
+
 from .core import GroupElement, LimitExceeded, _inversions, _left_mul_gen, _right_mul_gen, \
     _shortlex_word
 from .field import sign
@@ -40,36 +43,63 @@ class Root:
 
 
 class RootPoset:
-    """Roots in breadth-first depth order together with the cover edges.
+    """Positive roots in breadth-first depth order, stored by column,
+    together with the cover edges.
 
-    Edges are (lower_index, upper_index, letter, long) tuples.  When
-    built with an m-small bound the poset holds exactly the m-small
+    Root i has coordinates coords[i], depth depths[i], dp_inf dpinfs[i]
+    and squared norm norms[i]; index maps coordinates to i.  The depths
+    never decrease along the columns, and the first `rank` roots are the
+    simple ones.  Edges are (lower_index, upper_index, letter, long)
+    tuples in discovery order, so the first edge into a non-simple root
+    is the one that created it.  `roots` (one Root per root) and the
+    cover lists `up` and `down` are views, built from the columns on
+    first access and kept.
+
+    When built with an m-small bound the poset holds exactly the m-small
     roots; every m-small root keeps all of its lower covers, since the
     roots below an m-small root are m-small themselves.
     """
 
-    def __init__(self, system, roots, edges, msmall, depth_cap, index):
+    def __init__(self, system, coords, depths, dpinfs, norms, edges, msmall, depth_cap,
+                 index):
         self.system = system
-        self.roots = roots
+        self.coords = coords
+        self.depths = depths
+        self.dpinfs = dpinfs
+        self.norms = norms
         self.edges = edges
         self.msmall = msmall
         self.depth_cap = depth_cap
         self.index = index  # coords -> root index
         self._labels = self._texts = None
-        self.up = [[] for _ in roots]
-        self.down = [[] for _ in roots]
-        for lo, hi, s, is_long in edges:
-            self.up[lo].append((s, hi, is_long))
-            self.down[hi].append((s, lo, is_long))
+
+    @functools.cached_property
+    def roots(self):
+        """One Root per root, in index order."""
+        return [Root(*row, i) for i, row in
+                enumerate(zip(self.coords, self.depths, self.dpinfs, self.norms))]
+
+    @functools.cached_property
+    def up(self):
+        """up[i]: the (letter, upper index, long) covers above root i."""
+        up = [[] for _ in self.coords]
+        for lo, hi, s, is_long in self.edges:
+            up[lo].append((s, hi, is_long))
+        return up
+
+    @functools.cached_property
+    def down(self):
+        """down[i]: the (letter, lower index, long) covers below root i."""
+        down = [[] for _ in self.coords]
+        for lo, hi, s, is_long in self.edges:
+            down[hi].append((s, lo, is_long))
+        return down
 
     def __len__(self):
-        return len(self.roots)
-
-    def index_of(self, coords):
-        return self.index.get(tuple(coords))
+        return len(self.coords)
 
     def max_depth(self):
-        return self.roots[-1].depth if self.roots else 0
+        return self.depths[-1] if self.depths else 0
 
     def label(self, i):
         return self.labels()[i]
@@ -80,24 +110,26 @@ class RootPoset:
         A label is the digits of the coordinates when each is an integer
         0..9, else the tuple; str of an int, a Fraction or an
         AlgebraicNumber is one digit exactly for those values.  A root
-        differs from a lower cover only in the coordinate of the cover's
-        letter, so each root formats that one coordinate and takes the
-        others' text from the cover.
+        differs from the root below its creation edge only in the
+        coordinate of the edge's letter, so each root formats that one
+        coordinate and takes the others' text from below.
         """
         if self._labels is None:
-            texts = []
+            coords = self.coords
+            rank = self.system.rank
+            texts = [[str(x) for x in c] for c in coords[:rank]]
+            # the roots' creation edges come in index order
+            k = rank
+            for lo, hi, s, _ in self.edges:
+                if hi == k:
+                    text = texts[lo][:]
+                    text[s] = str(coords[hi][s])
+                    texts.append(text)
+                    k += 1
             labels = []
-            for r in self.roots:
-                downs = self.down[r.index]
-                if downs:
-                    s, lo, _ = downs[0]
-                    text = list(texts[lo])
-                    text[s] = str(r.coords[s])
-                else:
-                    text = [str(x) for x in r.coords]
-                texts.append(text)
+            for text in texts:
                 digits = "".join(text)
-                if len(digits) == len(text) and digits.isdigit():
+                if len(digits) == rank and digits.isdigit():
                     labels.append(digits)
                 else:
                     labels.append("(" + ", ".join(text) + ")")
@@ -115,9 +147,9 @@ class RootPoset:
         out = ["digraph roots {", "  rankdir=BT;", '  node [shape=box];']
         labels = self.labels()
         by_depth = {}
-        for r in self.roots:
-            out.append('  r%d [label="%s"];' % (r.index, labels[r.index]))
-            by_depth.setdefault(r.depth, []).append(r.index)
+        for i, d in enumerate(self.depths):
+            out.append('  r%d [label="%s"];' % (i, labels[i]))
+            by_depth.setdefault(d, []).append(i)
         for d in sorted(by_depth):
             out.append("  { rank=same; %s }" % " ".join("r%d;" % i for i in by_depth[d]))
         for lo, hi, s, is_long in self.edges:
@@ -135,11 +167,13 @@ def root_poset(system, max_depth=None, msmall=None, limit=None):
     enumeration prunes at dp_inf > m and terminates on its own.
 
     Each root to be expanded carries its pairings p_t = pairing(b, t)
-    for every letter t, with their signs.  The cover g = s(b) = b - c a_s,
-    c = p_s, pairs as p_t - c pairing(a_s, t): -c at s, a new value at the
-    neighbours of s (one product each, by the Cartan column), and the
-    value of b, with its sign, everywhere else.  A root at the depth cap
-    is never expanded, so it gets no pairings.
+    for every letter t, with flags for the negative ones.  The cover
+    g = s(b) = b - c a_s, c = p_s, pairs as p_t - c pairing(a_s, t): -c
+    at s, a new value at the neighbours of s (one product each, by the
+    Cartan column), and the value of b, with its flag, everywhere else.
+    A root at the depth cap is never expanded, so it gets no pairings.
+    The root cap is checked after each root's covers are taken, not at
+    every new root, so it stops at most rank - 1 roots past the cap.
     """
     if max_depth is None and msmall is None and limit is None:
         raise ValueError("need max_depth, msmall or limit")
@@ -147,62 +181,68 @@ def root_poset(system, max_depth=None, msmall=None, limit=None):
     norms = system._norm_q
     columns = system._columns
     unit = [x == 1 for x in norms]
-    roots = []
+    coords = [system.simple_root(s) for s in range(n)]
+    index = {c: s for s, c in enumerate(coords)}
+    depths = [0] * n
+    dpinfs = [0] * n
+    root_norms = list(norms)
     edges = []
-    index = {}
     frontier = []
     for s in range(n):
-        r = Root(system.simple_root(s), 0, 0, norms[s], s)
-        roots.append(r)
-        index[r.coords] = s
         p = [0] * n
         p[s] = 2
         for t, a in columns[s]:
             p[t] = a
-        frontier.append((r, p, [sign(x) for x in p]))
+        frontier.append((s, p, [sign(x) < 0 for x in p]))
+    # only new roots count against the limit, and the first is root n + 1
+    cap = math.inf if limit is None else max(n, limit)
     depth = 0
-    while frontier:
-        if max_depth is not None and depth >= max_depth:
-            break
+    while frontier and (max_depth is None or depth < max_depth):
         expand = max_depth is None or depth + 1 < max_depth
         nxt = []
-        for beta, p, signs in frontier:
-            coords = beta.coords
-            four_norm = 4 * beta.norm_sq
+        for i, p, neg in frontier:
+            b = list(coords[i])
+            norm = root_norms[i]
+            four_norm = 4 * norm
+            below = dpinfs[i]
             for s in range(n):
-                if signs[s] >= 0:
+                if not neg[s]:
                     continue
                 c = p[s]
                 sq = c * c
                 is_long = (sq if unit[s] else sq * norms[s]) >= four_norm
-                dpinf = beta.dpinf + (1 if is_long else 0)
+                dpinf = below + 1 if is_long else below
                 if msmall is not None and dpinf > msmall:
                     continue
-                gamma = coords[:s] + (coords[s] - c,) + coords[s + 1:]
+                x = b[s]
+                b[s] = x - c
+                gamma = tuple(b)
+                b[s] = x
                 gi = index.get(gamma)
                 if gi is None:
-                    gr = Root(gamma, depth + 1, dpinf, beta.norm_sq, len(roots))
-                    roots.append(gr)
-                    index[gamma] = gr.index
-                    if limit is not None and len(roots) > limit:
-                        raise LimitExceeded("root enumeration exceeded %d" % limit)
+                    gi = index[gamma] = len(coords)
+                    coords.append(gamma)
+                    depths.append(depth + 1)
+                    dpinfs.append(dpinf)
+                    root_norms.append(norm)
                     if expand:
-                        q = list(p)
-                        q_signs = list(signs)
+                        q = p[:]
+                        q_neg = neg[:]
                         q[s] = -c
-                        q_signs[s] = 1
+                        q_neg[s] = False
                         for t, a in columns[s]:
-                            x = q[t] = p[t] - c * a
-                            q_signs[t] = sign(x)
-                        nxt.append((gr, q, q_signs))
-                else:
-                    gr = roots[gi]
-                    if gr.depth != depth + 1 or gr.dpinf != dpinf:
-                        raise ArithmeticError("depth or dp_inf is path dependent")
-                edges.append((beta.index, gr.index, s, is_long))
+                            y = q[t] = p[t] - c * a
+                            q_neg[t] = sign(y) < 0
+                        nxt.append((gi, q, q_neg))
+                elif depths[gi] != depth + 1 or dpinfs[gi] != dpinf:
+                    raise ArithmeticError("depth or dp_inf is path dependent")
+                edges.append((i, gi, s, is_long))
+            if len(coords) > cap:
+                raise LimitExceeded("root enumeration exceeded %d" % limit)
         frontier = nxt
         depth += 1
-    return RootPoset(system, roots, edges, msmall, max_depth, index)
+    return RootPoset(system, coords, depths, dpinfs, root_norms, edges, msmall, max_depth,
+                     index)
 
 
 def m_small_roots(system, m):
@@ -287,14 +327,21 @@ def reflection_from_root(system, coords):
     """The reflection through a positive root, as a group element.
 
     Walks the root down to a simple one r, each step lowering depth by 1,
-    then conjugates s_r back up, t = s t' s per step: the word u r u^-1 is
-    reduced, and t is its own inverse, so one matrix serves for both.
+    then conjugates s_r back up along the steps: the word u r u^-1 is
+    reduced.
     """
     if system.mode == "unitary" and system.norm_sq(coords) != system.one:
         raise ValueError("roots have unit norm in this representation")
     steps, r = _descend(system, coords)
-    rows = _right_mul_gen(system, system._id_rows, r)
-    for s, _ in reversed(steps):
+    return _close_up(system, [s for s, _ in steps] + [r])
+
+
+def _close_up(system, word):
+    """The reflection u r u^-1 for a prefix word u r: conjugates s_r by
+    the letters of u, last first, t = s t' s per letter; t is its own
+    inverse, so one matrix serves for both."""
+    rows = _right_mul_gen(system, system._id_rows, word[-1])
+    for s in reversed(word[:-1]):
         rows = _right_mul_gen(system, _left_mul_gen(system, rows, s), s)
     return GroupElement(system, rows, rows, _shortlex_word(system, rows))
 

@@ -298,12 +298,26 @@ def test_reflections_bounded_by_max_roots(capsys):
 
 
 def test_prefixes_bounded_by_max_roots(capsys):
-    # a reflection of depth 4 in the all-infinite rank-4 group: the roots of
-    # depth at most 4 are far more than 50
-    code, out, err = run(capsys, "prefixes", "U4", "123414321", "--max-roots", "50")
+    # a reflection of depth 4 in the all-infinite rank-4 group: the walk
+    # down from its root visits the five roots of one chain
+    code, out, err = run(capsys, "prefixes", "U4", "123414321", "--max-roots", "4")
     assert code == 3
     assert out == ""
-    assert err == "error: root enumeration exceeded 50\n"
+    assert err == "error: root enumeration exceeded 4\n"
+
+
+def test_prefixes_visit_only_the_roots_below(capsys):
+    # a reflection of depth 15 in U3 with 16 roots below its root, though
+    # U3 has far more than 100000 roots of depth at most 15
+    code, out, err = run(capsys, "prefixes", "U3", "1231231231231231321321321321321")
+    assert (code, err) == (0, "")
+    assert out == ("reflection 1231231231231231321321321321321, "
+                   "palindromic word 1231231231231231321321321321321\n"
+                   "  prefix 1231231231231231\n"
+                   "1 prefixes\n")
+    code, _, err = run(capsys, "prefixes", "U3", "1231231231231231321321321321321",
+                       "--max-roots", "15")
+    assert (code, err) == (3, "error: root enumeration exceeded 15\n")
 
 
 def test_reflections_do_not_enumerate_the_ball(capsys):
@@ -490,20 +504,10 @@ ACCEPTANCE_REPORTS = [
 
 @pytest.mark.parametrize("argv", _readme_argvs() + ACCEPTANCE_REPORTS,
                          ids=lambda argv: " ".join(argv))
-def test_json_writer_prints_what_json_dumps_prints(capsys, monkeypatch, argv):
-    reports = []
-    write = cli._json
-
-    def recording(obj, indent="\n"):
-        if indent == "\n":
-            reports.append(obj)
-        return write(obj, indent)
-
-    monkeypatch.setattr(cli, "_json", recording)
+def test_json_writer_prints_what_json_dumps_prints(capsys, argv):
     code, out, _ = run(capsys, *argv, "--json")
     assert code == 0
-    assert len(reports) == 1
-    assert out == json.dumps(reports[0], indent=2) + "\n"
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 @pytest.mark.parametrize("obj", [

@@ -56,10 +56,26 @@ def test_edges_are_graded_covers():
 
 
 def test_up_down_mirror_edges():
-    poset = ck.root_poset(system("~A2"), max_depth=4)
-    for lo, hi, s, is_long in poset.edges:
-        assert (s, hi, is_long) in poset.up[lo]
-        assert (s, lo, is_long) in poset.down[hi]
+    """The columns agree with the `roots` view and the labels with the
+    coordinates, and up and down hold the edges in edge order."""
+    hyperbolic = ck.CoxeterSystem(matrix=ck.CoxeterMatrix([[1, 3, 3], [3, 1, 4], [3, 4, 1]]))
+    posets = [ck.root_poset(system("~A2"), max_depth=4), ck.root_poset(system("U3"), max_depth=5),
+              ck.root_poset(system("H3"), max_depth=40), ck.root_poset(system("~B3"), max_depth=5),
+              ck.root_poset(hyperbolic, max_depth=5), ck.m_small_roots(system("~G2"), 1)]
+    for poset in posets:
+        n = len(poset)
+        assert [(r.coords, r.depth, r.dpinf, r.norm_sq, r.index) for r in poset.roots] == \
+            list(zip(poset.coords, poset.depths, poset.dpinfs, poset.norms, range(n)))
+        assert poset.index == {c: i for i, c in enumerate(poset.coords)}
+        assert poset.depths == sorted(poset.depths)
+        assert poset.coord_texts() == [[str(x) for x in c] for c in poset.coords]
+        up, down = [[] for _ in range(n)], [[] for _ in range(n)]
+        for lo, hi, s, is_long in poset.edges:
+            assert (s, hi, is_long) in poset.up[lo]
+            assert (s, lo, is_long) in poset.down[hi]
+            up[lo].append((s, hi, is_long))
+            down[hi].append((s, lo, is_long))
+        assert (poset.up, poset.down) == (up, down)
 
 
 def test_profile_matches_enumeration():
