@@ -3,6 +3,7 @@
 from .core import (
     CoxeterMatrix,
     CoxeterSystem,
+    DomainError,
     GroupElement,
     LimitExceeded,
     cayley_bfs,
@@ -17,6 +18,7 @@ from .field import AlgebraicNumber, CyclotomicField, field_for_matrix
 from .roots import (
     Root,
     RootPoset,
+    dominance_set,
     dominates,
     m_small_roots,
     reflection_from_root,
@@ -28,7 +30,6 @@ from .roots import (
 from .prefixes import (
     ReflectionPrefix,
     check_prefix_bilinear,
-    dominance_set,
     is_reflection_prefix,
     palindromic_word,
     prefix_of_reflection,
@@ -39,7 +40,6 @@ from .dihedral import (
     DihedralSubgroup,
     canonical_generators,
     canonical_generators_repfree,
-    reflection_dominance_set,
     subgroup_inversions,
 )
 from .automata import (

@@ -2,7 +2,9 @@
 
 The finite Weyl system is realized with short roots of squared norm 1,
 the affine system on the basis (alpha_1..alpha_n, delta - omega) where
-omega is the highest root.  Positive affine roots are k*delta + a with
+omega is the highest root; both forms are the crystallographic ones of
+their Coxeter matrices (`_gram_from_norms`), delta - omega taking the
+norm of omega.  Positive affine roots are k*delta + a with
 a a signed finite root, and the depth generating series over them is
 periodic orbit by orbit, so it collapses to an exact rational function.
 """
@@ -13,7 +15,7 @@ from fractions import Fraction
 
 from .core import CoxeterSystem, preset
 from .field import cyclotomic, divmod_monic
-from .roots import root_depth, root_poset
+from .roots import m_small_roots, root_depth, root_poset
 from .series import Polynomial, RationalSeries
 
 _NAME_RE = re.compile(r"^~([A-G])(\d+)$")
@@ -104,25 +106,13 @@ def affine_datum(name):
     aff_matrix = preset(name)
     fin_matrix = preset(letter + str(n))
     norms = _norm_vector(letter, n)
-    gram = _gram_from_norms(fin_matrix, norms)
-    finite = CoxeterSystem(matrix=fin_matrix, gram=gram)
-    finite_poset = root_poset(finite, limit=4 * n ** 4 + 200)
-
+    finite = CoxeterSystem(matrix=fin_matrix, gram=_gram_from_norms(fin_matrix, norms))
+    # every root of a finite Weyl group is 0-small
+    finite_poset = m_small_roots(finite, 0)
     omega = _highest_root(finite, finite_poset)
     orbits = _orbit_split(finite_poset, omega)
-
-    rank = n + 1
-    ext = [[Fraction(0)] * rank for _ in range(rank)]
-    for i in range(n):
-        for j in range(n):
-            ext[i][j] = gram[i][j]
     w2 = finite_poset.norms[finite_poset.index[omega]]
-    basis = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    for i in range(n):
-        b = finite.bilinear(basis[i], omega)
-        ext[i][n] = ext[n][i] = -b
-    ext[n][n] = w2
-    system = CoxeterSystem(matrix=aff_matrix, gram=ext)
+    system = CoxeterSystem(matrix=aff_matrix, gram=_gram_from_norms(aff_matrix, norms + [w2]))
     return AffineDatum(name, finite, finite_poset, system, omega, orbits)
 
 

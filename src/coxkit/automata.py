@@ -9,10 +9,12 @@ words of reflection-prefix elements.
 
 A state is keyed by its set and that bit, the bit always True for `red`,
 and the transitions form one table: row i maps each letter to a state,
-or to None where the letter is a descent.
+or to None where the letter is a descent.  The states are numbered
+breadth-first, so the shortest elements of each small inversion set are
+read off the table's layers (`low_elements`).
 """
 
-from .core import LimitExceeded, cayley_bfs, format_word
+from .core import GroupElement, LimitExceeded, _left_mul_gen, _right_mul_gen
 from .roots import m_small_roots
 
 
@@ -176,33 +178,28 @@ def lump(dfa):
 
 
 def low_elements(system, m, limit=None):
-    """Shortest group element realizing each small inversion set.
+    """The shortlex-least shortest element of each small inversion set,
+    sorted by (length, word); `limit` caps the automaton's states.
 
-    Breadth-first over the group, keeping the first element whose
-    inversion set meets the m-small roots in a set not seen before;
-    stops once every set reachable in the automaton has an owner.
-    `limit` caps both the automaton's states and the enumerated ball,
-    raising LimitExceeded past either.
+    Reading s moves the state of u to that of s u, so a state's shortest
+    elements are the s u over its parents' shortest u one layer up.  The
+    least has normal form s + v with v its parent's least (else s v'
+    would come first), so it is the least such word over the parents.
     """
     dfa = build_automaton(system, m, "red", limit=limit)
-    targets = {key for key, _ in dfa.states}
-    small = dfa.poset.index
-    found = {}
-    depth = 4
-    while True:
-        ball = cayley_bfs(system, max_length=depth, limit=limit)
-        for u in ball:
-            key = tuple(sorted(
-                small[c] for c in u.inversion_set() if c in small
-            ))
-            if key not in found:
-                found[key] = u
-        if targets <= set(found):
-            break
-        if ball[-1].length < depth:
-            raise ArithmeticError("the whole group leaves small-root sets unrealized")
-        depth *= 2
-    return sorted((found[key] for key in targets), key=lambda u: (u.length, u.word))
+    low = [system.identity]
+    # the states are numbered breadth-first, so parents come before children
+    for i, row in enumerate(dfa.table):
+        u = low[i]
+        for s, j in enumerate(row):
+            word = (s,) + u.word
+            if j == len(low):
+                low.append(None)
+            elif j is None or (low[j].length, low[j].word) <= (len(word), word):
+                continue
+            low[j] = GroupElement(system, _left_mul_gen(system, u.rows, s),
+                                  _right_mul_gen(system, u.inv_rows, s), word)
+    return sorted(low, key=lambda u: (u.length, u.word))
 
 
 def dfa_to_dot(dfa):

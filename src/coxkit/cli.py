@@ -8,7 +8,8 @@ subcommand to a machine-readable report.
 `main(argv)` returns the exit code and never raises SystemExit: 0 on
 success and for --help, 1 for an internal error, 2 for bad input
 (argparse's usage errors included), 3 when a resource cap is hit, 4 for
-domain errors such as a word that is not a reflection.
+the library's domain errors (`core.DomainError`), such as a word that is
+not a reflection.
 """
 
 import argparse
@@ -19,16 +20,12 @@ from json.encoder import encode_basestring_ascii
 
 from .affine import affine_datum, affine_to_obj
 from .automata import build_automaton, dfa_to_dot, dfa_to_obj
-from .core import CoxeterSystem, LimitExceeded, coxeter_matrix_from_descriptor, \
-    format_word, is_reflection, parse_word
+from .core import CoxeterSystem, DomainError, LimitExceeded, \
+    coxeter_matrix_from_descriptor, format_word, is_reflection, parse_word
 from .dihedral import canonical_generators
 from .prefixes import _palindrome, _prefixes_of, is_reflection_prefix, reflections_up_to
 from .roots import root_poset
 from .series import dfa_series
-
-
-class DomainError(Exception):
-    """Input parsed fine but names an object outside the operation's domain."""
 
 
 def _system(spec):
@@ -217,10 +214,7 @@ def cmd_prefixes(args, out):
             out.write("  prefix %s\n" % format_word(p.element.word, system.rank))
         out.write("%d prefixes\n" % len(prefs))
         return 0
-    try:
-        pref = is_reflection_prefix(system, w)
-    except ValueError as exc:
-        raise DomainError(str(exc))
+    pref = is_reflection_prefix(system, w)
     if args.json:
         obj = {"word": format_word(w.word, system.rank), "is_prefix": pref is not None}
         if pref is not None:
@@ -240,11 +234,6 @@ def cmd_dihedral(args, out):
     system = _system(args.spec)
     r = system.element(parse_word(args.word_r, system.rank))
     t = system.element(parse_word(args.word_t, system.rank))
-    for w in (r, t):
-        if is_reflection(w) is None:
-            raise DomainError("%s is not a reflection" % format_word(w.word, system.rank))
-    if r == t:
-        raise DomainError("the two reflections must be distinct")
     sub = canonical_generators(system, r, t)
     c1, c2 = sub.canonical
     if args.json:

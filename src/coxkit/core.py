@@ -35,6 +35,10 @@ class LimitExceeded(RuntimeError):
     """Raised when an enumeration outgrows its configured cap."""
 
 
+class DomainError(ValueError):
+    """Input parsed fine but names an object outside the operation's domain."""
+
+
 def _bond(x):
     """A matrix entry as an int; non-integral values are rejected."""
     try:

@@ -26,14 +26,16 @@ strictly past it, so a walk may stop at the first rising root deeper
 than its cap.  A finite W' has m reflections and v_j has period m, but
 its pair need not be consecutive in j (<s_1, s_2 s_1 s_2> of I2(7) has
 rho_0 = s_1 and rho_3 = s_2), so its walk is taken whole.
+
+Non-reflections and two equal reflections raise `core.DomainError`.
 """
 
 from fractions import Fraction
 
-from .core import _plain
+from .core import DomainError, _plain
 from .field import exact
 from .prefixes import _reflection_root
-from .roots import Root, dominance_set, reflection_from_root, root_depth, root_profile
+from .roots import Root, reflection_from_root, root_depth, root_profile
 
 
 class DihedralSubgroup:
@@ -123,7 +125,7 @@ def canonical_generators(system, r, t):
     ar = _reflection_root(system, r)
     at = _reflection_root(system, t)
     if ar == at:
-        raise ValueError("the two reflections must be distinct")
+        raise DomainError("the two reflections must be distinct")
     finite, sub = _subgroup_roots(system, ar, at, (max(r.length, t.length) - 1) // 2)
     given = {ar: r, at: t}
     pair = [(given[a] if a in given else reflection_from_root(system, a), a)
@@ -138,10 +140,3 @@ def canonical_generators_repfree(system, r, t):
     sub = canonical_generators(system, r, t)
     return DihedralSubgroup(sub.gens_input, sub.canonical, None, sub.order_m)
 
-
-def reflection_dominance_set(system, t):
-    """Reflections dominated by t: t itself, then the reflections of the
-    other roots that the root of t dominates."""
-    root = _reflection_root(system, t)
-    return [t] + [reflection_from_root(system, a)
-                  for a in dominance_set(system, root) if a != root]

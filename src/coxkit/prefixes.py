@@ -17,11 +17,12 @@ normal form of its prefix, so no prefix is multiplied out to name it:
   word is the lexicographically least chain word of all;
 * so that word is the least reduced word of its own prefix, and the
   least normal form among all the prefixes of t.
+
+Non-reflections, and the identity in the prefix test, raise `core.DomainError`.
 """
 
-from . import roots
-from .core import GroupElement, LimitExceeded, _left_mul_gen, _right_mul_gen, _shortlex_word, \
-    format_word, is_reflection
+from .core import DomainError, GroupElement, LimitExceeded, _left_mul_gen, _right_mul_gen, \
+    _shortlex_word, format_word, is_reflection
 from .field import sign
 from .roots import _close_up, _descend, _simple_index, root_depth, root_poset
 
@@ -46,9 +47,8 @@ class ReflectionPrefix:
 
 
 def _reflection_root(system, t):
-    root = is_reflection(t)
-    if root is None:
-        raise ValueError("element is not a reflection")
+    if (root := is_reflection(t)) is None:
+        raise DomainError("%s is not a reflection" % format_word(t.word, system.rank))
     return root
 
 
@@ -63,7 +63,7 @@ def _prefix_root(system, w):
     letters u_{l-1} .. u_1, each must raise the root (pair negatively).
     """
     if w.is_identity():
-        raise ValueError("the identity has no descent to close up")
+        raise DomainError("the identity has no descent to close up")
     g = system.simple_root(w.word[-1])
     for s in reversed(w.word[:-1]):
         c = system.pairing(g, s)
@@ -210,7 +210,3 @@ def reflections_up_to(system, max_length, limit=None):
     out.sort(key=lambda pair: (pair[0].length, pair[0].word))
     return out
 
-
-def dominance_set(system, t):
-    """Roots dominated by the root b of t, b itself included."""
-    return roots.dominance_set(system, _reflection_root(system, t))

@@ -60,16 +60,13 @@ class RootPoset:
     roots below an m-small root are m-small themselves.
     """
 
-    def __init__(self, system, coords, depths, dpinfs, norms, edges, msmall, depth_cap,
-                 index):
+    def __init__(self, system, coords, depths, dpinfs, norms, edges, index):
         self.system = system
         self.coords = coords
         self.depths = depths
         self.dpinfs = dpinfs
         self.norms = norms
         self.edges = edges
-        self.msmall = msmall
-        self.depth_cap = depth_cap
         self.index = index  # coords -> root index
         self._labels = self._texts = None
 
@@ -241,8 +238,7 @@ def root_poset(system, max_depth=None, msmall=None, limit=None):
                 raise LimitExceeded("root enumeration exceeded %d" % limit)
         frontier = nxt
         depth += 1
-    return RootPoset(system, coords, depths, dpinfs, root_norms, edges, msmall, max_depth,
-                     index)
+    return RootPoset(system, coords, depths, dpinfs, root_norms, edges, index)
 
 
 def m_small_roots(system, m):

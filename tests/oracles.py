@@ -136,6 +136,37 @@ def reflection_census(system, max_length, cayley_bfs):
     return counts
 
 
+def low_elements_by_search(system, m, limit=None):
+    """Shortest group element realizing each small inversion set, by
+    search: breadth-first over the group, keeping the first element
+    whose inversion set meets the m-small roots in a set not seen
+    before, until every set reachable in the automaton has an owner.
+    `limit` caps both the automaton's states and the enumerated ball.
+    """
+    from coxkit.automata import build_automaton
+    from coxkit.core import cayley_bfs
+
+    dfa = build_automaton(system, m, "red", limit=limit)
+    targets = {key for key, _ in dfa.states}
+    small = dfa.poset.index
+    found = {}
+    depth = 4
+    while True:
+        ball = cayley_bfs(system, max_length=depth, limit=limit)
+        for u in ball:
+            key = tuple(sorted(
+                small[c] for c in u.inversion_set() if c in small
+            ))
+            if key not in found:
+                found[key] = u
+        if targets <= set(found):
+            break
+        if ball[-1].length < depth:
+            raise ArithmeticError("the whole group leaves small-root sets unrealized")
+        depth *= 2
+    return sorted((found[key] for key in targets), key=lambda u: (u.length, u.word))
+
+
 def gram_bilinear(system, x, y):
     """B(x, y) = sum_ij x_i G_ij y_j straight off the Gram matrix."""
     total = 0

@@ -341,6 +341,6 @@ def test_dominance_set_of_a_deep_triangle_reflection():
     group, with the infinite-depth grading of its top root."""
     sysm = ck.CoxeterSystem(matrix=TRIANGLE_33INF)
     t = sysm.element("2321232")
-    out = ck.dominance_set(sysm, t)
+    out = ck.dominance_set(sysm, ck.is_reflection(t))
     assert set(out) == {(0, 1, 0), (0, 2, 1), (1, 6, 3)}
     assert ck.root_dpinf(sysm, (1, 6, 3)) == 2

@@ -11,7 +11,7 @@ from coxkit.automata import (
     low_elements, lump, reflection_table,
 )
 from coxkit.core import coxeter_matrix_from_descriptor
-from oracles import reduced_word_trie
+from oracles import low_elements_by_search, reduced_word_trie
 
 
 def system(name):
@@ -128,6 +128,30 @@ def test_low_elements_distinct_small_sets():
         key = tuple(sorted(small[c] for c in w.inversion_set() if c in small))
         keys.add(key)
     assert len(keys) == len(low) == len(dfa.states)
+
+
+LOW_CASES = [(spec, m) for spec in ("A3", "B3", "H3", "I2(7)", "~A2", "~C2", "U3", "U4",
+                                     "[[1,3,3],[3,1,4],[3,4,1]]", "[[1,4,5],[4,1,0],[5,0,1]]")
+             for m in (0, 1)]
+LOW_CASES += [("~G2", 0), ("~A3", 0), ("[[1,3,7],[3,1,3],[7,3,1]]", 0)]
+
+
+@pytest.mark.parametrize("spec, m", LOW_CASES)
+def test_low_elements_match_the_search(spec, m):
+    """The elements read off the automaton's layers are the ones a
+    breadth-first search of the group finds first."""
+    sysm = ck.CoxeterSystem(matrix=coxeter_matrix_from_descriptor(spec))
+    got = low_elements(sysm, m)
+    want = low_elements_by_search(sysm, m)
+    assert [(u.word, u.rows, u.inv_rows) for u in got] == \
+        [(u.word, u.rows, u.inv_rows) for u in want]
+
+
+def test_low_elements_past_the_ball_search():
+    # (2h + 1)^n = 9^3 elements, one per region of the 2-Shi arrangement
+    # of ~A3; the ball search enumerates more than 20000 elements first
+    low = low_elements(system("~A3"), 1, limit=20000)
+    assert len(low) == 729 == 9 ** 3
 
 
 def test_low_elements_limit():

@@ -1,6 +1,7 @@
 """Canonical generators of dihedral reflection subgroups."""
 
 import random
+import sys
 
 import pytest
 
@@ -34,8 +35,38 @@ def test_simple_pairs_are_already_canonical():
 
 def test_equal_reflections_rejected():
     sysm = system("A2")
-    with pytest.raises(ValueError):
+    with pytest.raises(ck.DomainError, match="^the two reflections must be distinct$"):
         ck.canonical_generators(sysm, sysm.generator(0), sysm.generator(0))
+
+
+def test_non_reflection_is_a_domain_error():
+    sysm = system("A3")
+    w, t = sysm.element("12"), sysm.generator(1)
+    for call in (lambda: ck.canonical_generators(sysm, w, t),
+                 lambda: ck.canonical_generators(sysm, t, w),
+                 lambda: ck.subgroup_inversions(sysm, sysm.identity, w, t)):
+        with pytest.raises(ck.DomainError, match=r"^12 is not a reflection$") as info:
+            call()
+        assert isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize("argv", [
+    ["dihedral", "A3", "1", "3"], ["dihedral", "~A2", "1", "212"],
+    ["dihedral", "H3", "12132123121", "321323123", "--json"]])
+def test_cli_tests_each_word_once(capsys, monkeypatch, argv):
+    """The library's check is the only one: one is_reflection per word."""
+    real = ck.core.is_reflection
+    calls = []
+
+    def counted(w):
+        calls.append(w)
+        return real(w)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "coxkit" and getattr(module, "is_reflection", None) is real:
+            monkeypatch.setattr(module, "is_reflection", counted)
+    assert main(argv) == 0
+    assert len(calls) == 2
 
 
 def test_h3_pair_needs_no_field_inverse(monkeypatch):
@@ -161,23 +192,29 @@ def test_subgroup_inversions_are_inversions():
         assert root.coords in inv
 
 
+def _reflection_dominance_set(sysm, t):
+    """The reflections of the roots that the root of t dominates, t last."""
+    return [ck.reflection_from_root(sysm, a)
+            for a in ck.dominance_set(sysm, ck.is_reflection(t))]
+
+
 def test_reflection_dominance_set_contains_self():
     sysm = system("~A2")
     for t in reflections_in_ball(sysm, 7):
-        out = ck.reflection_dominance_set(sysm, t)
-        assert out[0] == t
+        out = _reflection_dominance_set(sysm, t)
+        assert out[-1] == t
         for u in out:
             assert ck.is_reflection(u) is not None
 
 
 def test_reflection_dominance_set_follows_root_dominance():
-    """t first, then the reflections of the other roots t's root dominates."""
+    """The reflections of the roots t's root dominates, t last."""
     for matrix in (ck.preset("~A2"), ck.CoxeterMatrix([[1, 3, 3], [3, 1, 4], [3, 4, 1]])):
         sysm = ck.CoxeterSystem(matrix=matrix)
         for t in reflections_in_ball(sysm, 7):
-            out = ck.reflection_dominance_set(sysm, t)
-            roots = ck.dominance_set(sysm, t)
-            assert out[0] == t
+            out = _reflection_dominance_set(sysm, t)
+            roots = ck.dominance_set(sysm, ck.is_reflection(t))
+            assert out[-1] == t
             assert len(out) == len(roots)
             assert {ck.is_reflection(u) for u in out} == set(roots)
 

@@ -19,10 +19,18 @@ def system(name):
 
 def test_identity_has_no_closure():
     sysm = system("A2")
-    with pytest.raises(ValueError):
+    with pytest.raises(ck.DomainError, match="^the identity has no descent to close up$"):
         ck.is_reflection_prefix(sysm, sysm.identity)
-    with pytest.raises(ValueError):
+    with pytest.raises(ck.DomainError, match="^the identity has no descent to close up$"):
         ck.check_prefix_bilinear(sysm, sysm.identity)
+
+
+@pytest.mark.parametrize("find", [ck.prefixes_of, ck.palindromic_word, ck.prefix_of_reflection])
+def test_non_reflection_is_a_domain_error(find):
+    sysm = system("A3")
+    with pytest.raises(ck.DomainError, match=r"^12 is not a reflection$") as info:
+        find(sysm, sysm.element("12"))
+    assert isinstance(info.value, ValueError)
 
 
 def test_generators_are_prefixes_of_themselves():
@@ -203,8 +211,8 @@ def test_dominance_set_of_reflection():
     refs = [w for w in ck.cayley_bfs(sysm, max_length=9)
             if ck.is_reflection(w) is not None]
     for t in rng.sample(refs, 6):
-        out = ck.dominance_set(sysm, t)
         root = ck.is_reflection(t)
+        out = ck.dominance_set(sysm, root)
         assert root in out
         assert len(set(out)) == len(out)
         for a in out:
