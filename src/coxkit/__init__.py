@@ -57,8 +57,6 @@ from .series import (
     dfa_series,
     is_palindromic,
     pal_series,
-    poly_gcd,
-    poly_lcm,
 )
 from .affine import (
     AffineDatum,

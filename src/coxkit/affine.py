@@ -222,7 +222,7 @@ def _lowest_terms(p, m):
     q - 1 never divides P, as P(1) > 0 counts roots, and every other
     Phi_d(0) = 1, so den(0) stays 1: the pair is the normal form.
     """
-    num = [int(c) for c in p.coeffs]
+    num = p.coeffs
     den = [1] + [0] * (m - 1) + [-1]
     for d in range(1, m + 1):
         if m % d == 0:

@@ -1,29 +1,33 @@
-"""Exact generating series.
+"""Exact generating series in integers.
 
-Polynomials over big rationals, lowest degree first, and rational
-series num/den kept in a canonical reduced form with den(0) = 1.
-Counting series come out of automata as the shortest linear recurrence
-of their exact word counts, so every coefficient is exact.
+Every series coxkit makes counts something, so its coefficients are
+integers, and by Fatou's lemma its reduced form is num/den with num and
+den in Z[q] and den(0) = 1.  Polynomials hold int coefficients, lowest
+degree first.  A rational series has one reduction: the shortest linear
+recurrence of its first terms (Berlekamp-Massey), which gives den, with
+num the terms times den cut below the recurrence length.  (The affine
+closed forms reach the same normal form by dividing out cyclotomics.)
 """
 
 import math
 import sys
 from collections import Counter
 from fractions import Fraction
-from operator import mul
+from operator import index, mul
 
 from .automata import count_by_length, lump
 from .core import LimitExceeded
-from .field import _poly_divmod as _coeff_divmod, _poly_mul_into, _poly_trim, exact
+from .field import _poly_mul_into, _poly_trim, exact
 
 
 class Polynomial:
-    """Coefficient vector, lowest degree first, trailing zeros stripped."""
+    """Int coefficient vector, lowest degree first, trailing zeros
+    stripped; a coefficient that is not an int raises TypeError."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        self.coeffs = tuple(Fraction(c) for c in _poly_trim(coeffs))
+        self.coeffs = tuple(map(index, _poly_trim(coeffs)))
 
     @property
     def degree(self):
@@ -59,7 +63,7 @@ class Polynomial:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Polynomial):
             return Polynomial([c * other for c in self.coeffs])
         a, b = self.coeffs, other.coeffs
         if not a or not b:
@@ -71,17 +75,18 @@ class Polynomial:
     __rmul__ = __mul__
 
     def evaluate(self, x):
-        acc = Fraction(0)
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
 
     def substitute_power(self, k):
-        """The polynomial in q^k."""
-        out = []
-        for c in self.coeffs:
-            out.extend([c] + [0] * (k - 1))
-        return Polynomial(out[: len(self.coeffs) * k - k + 1] if out else [])
+        """The polynomial in q^k, k >= 1."""
+        if k < 1:
+            raise ValueError("substitute_power needs k >= 1, got %d" % (k,))
+        out = [0] * (k * len(self.coeffs))
+        out[::k] = self.coeffs
+        return Polynomial(out)
 
     def shifted(self, j):
         """Multiplication by q^j; negative j must divide exactly."""
@@ -97,41 +102,13 @@ def is_palindromic(p):
     return p.coeffs == tuple(reversed(p.coeffs))
 
 
-def _poly_divmod(a, b):
-    q, r = _coeff_divmod(a.coeffs, b.coeffs)
-    return Polynomial(q), Polynomial(r)
-
-
-def poly_divexact(a, b):
-    q, r = _poly_divmod(a, b)
-    if r:
-        raise ValueError("polynomial division is not exact")
-    return q
-
-
-def poly_gcd(a, b):
-    """Monic-free gcd: primitive with positive leading coefficient."""
-    while b:
-        a, b = b, _poly_divmod(a, b)[1]
-    if not a:
-        return Polynomial()
-    dens = [c.denominator for c in a.coeffs]
-    nums = [c.numerator for c in a.coeffs if c]
-    scale = Fraction(math.lcm(*dens), math.gcd(*nums))
-    out = a * scale
-    if out.coeffs[-1] < 0:
-        out = -out
-    return out
-
-
-def poly_lcm(a, b):
-    if not a or not b:
-        return Polynomial()
-    return poly_divexact(a * b, poly_gcd(a, b))
-
-
 class RationalSeries:
-    """Quotient num/den with gcd(num, den) = 1 and den(0) = 1."""
+    """Quotient num/den with gcd(num, den) = 1 and den(0) = 1.
+
+    RationalSeries(num, den) reduces an integral series by its shortest
+    recurrence (_from_coefficients); a coefficient that is not an
+    integer raises ValueError.
+    """
 
     __slots__ = ("num", "den")
 
@@ -140,18 +117,13 @@ class RationalSeries:
             den = Polynomial([1])
         if not den:
             raise ZeroDivisionError("series denominator is zero")
-        if not num:
-            self.num = Polynomial()
-            self.den = Polynomial([1])
-            return
-        g = poly_gcd(num, den)
-        num = poly_divexact(num, g)
-        den = poly_divexact(den, g)
-        c = den.coeffs[0] if den.coeffs else Fraction(0)
-        if c == 0:
+        low = next(i for i, c in enumerate(den.coeffs) if c)
+        if any(num.coeffs[:low]):
             raise ValueError("denominator vanishes at 0; no power series")
-        self.num = num * (1 / c)
-        self.den = den * (1 / c)
+        self.num, self.den = num.shifted(-low), den.shifted(-low)
+        # the expansion obeys the recurrence den from n on
+        n = max(self.den.degree, self.num.degree + 1)
+        self.num, self.den = _from_coefficients(self.coefficients(2 * n + 1), n)
 
     @classmethod
     def _reduced(cls, num, den):
@@ -177,7 +149,7 @@ class RationalSeries:
         )
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, RationalSeries):
             return RationalSeries(self.num * other, self.den)
         return RationalSeries(self.num * other.num, self.den * other.den)
 
@@ -195,21 +167,22 @@ class RationalSeries:
         return RationalSeries._reduced(self.num.shifted(j), self.den)
 
     def coefficients(self, count):
-        """First `count` power-series coefficients, exact.
-
-        With den(0) = 1 the recurrence never divides, so integral
-        coefficients (those of every automaton's series) expand in ints.
-        """
-        num = [exact(c) for c in self.num.coeffs]
-        tail = [exact(c) for c in self.den.coeffs[1:]]
+        """First `count` power-series coefficients, in ints: each step
+        divides by den(0), which does nothing when den(0) = 1, and a
+        remainder raises ValueError."""
+        num, (lead, *tail) = self.num.coeffs, self.den.coeffs
         out = []
         for k in range(count):
             c = num[k] if k < len(num) else 0
-            out.append(c - sum(map(mul, tail, reversed(out[max(0, k - len(tail)):]))))
+            c -= sum(map(mul, tail, reversed(out[max(0, k - len(tail)):])))
+            c, r = divmod(c, lead)
+            if r:
+                raise ValueError("series coefficients are not integers")
+            out.append(c)
         return out
 
     def to_obj(self, terms=None):
-        """Plain dictionary form, rationals as strings.
+        """Plain dictionary form, integers as strings.
 
         Raises LimitExceeded when one of the first `terms` coefficients
         has more digits than str() converts to text
@@ -231,6 +204,29 @@ class RationalSeries:
                         % (k, sys.get_int_max_str_digits())) from None
             obj["coefficients"] = texts
         return obj
+
+
+def _from_coefficients(seq, n):
+    """(num, den) in lowest terms with den(0) = 1 from 2n + 1 or more
+    terms `seq` of a series that obeys a recurrence of order at most n.
+
+    Zero terms from n on make every later term zero, so the series is
+    the polynomial of the first n.  Otherwise Berlekamp-Massey on the
+    first 2n + 1 terms gives den, and num is the terms times den cut
+    below the recurrence length; a common factor would give a shorter
+    recurrence, so the pair is coprime.  Every term is checked: den
+    times `seq` must vanish from the recurrence length on.
+    """
+    if not any(seq[n:]):
+        return Polynomial(seq[:n]), Polynomial([1])
+    den, length = berlekamp_massey(seq[: 2 * n + 1])
+    prod = [
+        sum(den[j] * seq[k - j] for j in range(min(k, len(den) - 1) + 1))
+        for k in range(len(seq))
+    ]
+    if any(prod[length:]):
+        raise ArithmeticError("series expansion disagrees with direct count")
+    return Polynomial(prod[:length]), Polynomial(den)
 
 
 def pal_series(pref):
@@ -293,19 +289,12 @@ def dfa_series(dfa):
     into every block (`lump`) gives a p x p matrix A' with A P = P A',
     f = P f' and u' = u P, so c_k = u A^k P f' = u P A'^k f' = u' A'^k f':
     the quotient counts the same words.  By Cayley-Hamilton on A' the
-    counts obey a linear recurrence of order at most p, so
-    Berlekamp-Massey on the first 2p + 1 counts yields the reduced
-    denominator; the numerator is the count series times it, cut below
-    the recurrence length.  The pair is already in normal form: a common
-    factor would give a shorter recurrence, and den(0) = 1.  The
-    recurrence is checked against 2p + 5 direct counts before returning:
-    the product of den with the counts must vanish from the recurrence
-    length on.
+    counts obey a linear recurrence of order at most p, so the first
+    2p + 5 counts go to the one reduction (_from_coefficients, n = p),
+    which reads the series off the first 2p + 1 and checks it against
+    all 2p + 5.  A finite language shows there as p zero counts from
+    length p on.
 
-    A finite language shows in the counts: each count from length p on
-    is fixed by the p counts before it, so p zero counts from length p
-    on make every later count zero, and the series is the count
-    polynomial over 1, the reduced form Berlekamp-Massey would return.
     When every transition leads to a later state in breadth-first order
     (every finite group) the language is finite outright, the count walk
     is linear, and the refinement would cost more than it saves, so the
@@ -335,13 +324,4 @@ def dfa_series(dfa):
                 nxt[d] = nxt.get(d, 0) + c * w
         frontier = nxt
     counts += [0] * (check - len(counts))
-    if not any(counts[p:]):
-        return RationalSeries._reduced(Polynomial(counts[:p]), Polynomial([1]))
-    den, length = berlekamp_massey(counts[: 2 * p + 1])
-    prod = [
-        sum(den[j] * counts[k - j] for j in range(min(k, len(den) - 1) + 1))
-        for k in range(check)
-    ]
-    if any(prod[length:]):
-        raise ArithmeticError("series expansion disagrees with direct count")
-    return RationalSeries._reduced(Polynomial(prod[:length]), Polynomial(den))
+    return RationalSeries._reduced(*_from_coefficients(counts, p))

@@ -267,6 +267,44 @@ def horner(poly, x):
     return Fraction(acc * den, scale)
 
 
+def _divmod_over_q(a, b):
+    """Long division of coefficient lists (lowest-first, b trimmed) over
+    Q.  Each quotient term is Fraction(r, lead), so int coefficients
+    never reach float division."""
+    r = list(a)
+    q = [0] * max(0, len(a) - len(b) + 1)
+    for i in range(len(q) - 1, -1, -1):
+        f = q[i] = Fraction(r[i + len(b) - 1], b[-1])
+        for j, c in enumerate(b):
+            r[i + j] -= f * c
+    while r and r[-1] == 0:
+        r.pop()
+    return q, r
+
+
+def euclid_gcd(a, b):
+    """gcd of two trimmed coefficient lists by plain Euclid over Q, as a
+    primitive int list with positive lead ([] when both are zero)."""
+    a, b = list(a), list(b)
+    while b:
+        a, b = b, _divmod_over_q(a, b)[1]
+    if not a:
+        return []
+    den = math.lcm(*(Fraction(c).denominator for c in a))
+    ints = [int(c * den) for c in a]
+    g = math.gcd(*ints) if ints[-1] > 0 else -math.gcd(*ints)
+    return [c // g for c in ints]
+
+
+def euclid_reduce(num, den):
+    """num/den in lowest terms with den(0) = 1, by plain Euclid over Q:
+    the reference for RationalSeries(num, den), as coefficient lists."""
+    g = euclid_gcd(num, den)
+    (num, r), (den, s) = _divmod_over_q(num, g), _divmod_over_q(den, g)
+    assert not r and not s
+    return [c / den[0] for c in num], [c / den[0] for c in den]
+
+
 def sturm_chain(poly):
     """Sturm chain of a squarefree polynomial: poly, poly', then the
     negated remainders.  Each member is the classical one times a
