@@ -15,7 +15,7 @@ read off the table's layers (`low_elements`).
 """
 
 from .core import GroupElement, LimitExceeded, _left_mul_gen, _right_mul_gen
-from .roots import m_small_roots
+from .roots import root_poset
 
 
 class Dfa:
@@ -81,11 +81,12 @@ def reflection_table(poset):
 def build_automaton(system, m, kind="red", limit=None):
     """Breadth-first construction over subsets of the m-small roots.
 
-    Raises LimitExceeded once more than `limit` states are found.
+    Raises LimitExceeded once more than `limit` m-small roots, or more
+    than `limit` states, are found.
     """
     if kind not in ("red", "pref"):
         raise ValueError("kind must be 'red' or 'pref'")
-    poset = m_small_roots(system, m)
+    poset = root_poset(system, msmall=m, limit=limit)
     rank = system.rank
     for s in range(rank):
         if poset.depths[s] != 0:
@@ -131,40 +132,46 @@ def accepts(dfa, word):
     return state in dfa.finals
 
 
-def count_by_length(dfa, max_len):
-    """Accepted-word counts for lengths 0..max_len.
-
-    Walks the frontier of states reached by words of each length, with
-    the number of words reaching each; once it empties, no longer word
-    is accepted.
+def _count_words(table, finals, initial, n):
+    """Accepted-word counts for lengths 0..n-1 of a table whose rows list
+    targets, None for a missing letter and a target once per letter.
+    The walk keeps the number of words reaching each state; once no
+    state is reached, no longer word is accepted.
     """
-    table = dfa.table
-    frontier = {dfa.initial: 1}
+    frontier = {initial: 1}
     out = []
-    while frontier and len(out) <= max_len:
-        out.append(sum(c for i, c in frontier.items() if i in dfa.finals))
+    while frontier and len(out) < n:
+        out.append(sum(c for i, c in frontier.items() if i in finals))
         nxt = {}
         for i, c in frontier.items():
             for j in table[i]:
                 if j is not None:
                     nxt[j] = nxt.get(j, 0) + c
         frontier = nxt
-    return out + [0] * (max_len + 1 - len(out))
+    return out + [0] * (n - len(out))
+
+
+def count_by_length(dfa, max_len):
+    """Accepted-word counts for lengths 0..max_len."""
+    return _count_words(dfa.table, dfa.finals, dfa.initial, max_len + 1)
 
 
 def lump(dfa):
-    """Block of each state in the coarsest count-preserving partition.
+    """The coarsest count-preserving partition, as (block, rows).
 
     Moore rounds from {final, non-final}: each round splits a block by
     the multiset of its states' successor blocks, letters ignored, and
     stops once no block splits.  Every state of a block then has the
     same finality and the same number of transitions into each block.
-    Blocks are numbered 0..p-1.
+    Every round numbers the blocks 0..p-1 by their first state, so the
+    last round's keys give rows[b]: the sorted blocks that the
+    transitions of any state of block b lead to, one per transition.
     """
     table = dfa.table
     finals = dfa.finals
-    block = [i in finals for i in range(len(table))]
-    count = len(set(block))
+    ids = {}
+    block = [ids.setdefault(i in finals, len(ids)) for i in range(len(table))]
+    count = len(ids)
     while True:
         ids = {}
         block = [
@@ -173,13 +180,14 @@ def lump(dfa):
             for b, row in zip(block, table)
         ]
         if len(ids) == count:
-            return block
+            return block, [succ for _, succ in ids]
         count = len(ids)
 
 
 def low_elements(system, m, limit=None):
     """The shortlex-least shortest element of each small inversion set,
-    sorted by (length, word); `limit` caps the automaton's states.
+    sorted by (length, word); `limit` caps the automaton's small roots
+    and its states (`build_automaton`).
 
     Reading s moves the state of u to that of s u, so a state's shortest
     elements are the s u over its parents' shortest u one layer up.  The

@@ -28,7 +28,7 @@ import re
 from fractions import Fraction
 from operator import mul
 
-from .field import AlgebraicNumber, CyclotomicField, exact, field_for_matrix, sign
+from .field import AlgebraicNumber, CyclotomicField, bond_lcm, exact, sign
 
 
 class LimitExceeded(RuntimeError):
@@ -37,6 +37,31 @@ class LimitExceeded(RuntimeError):
 
 class DomainError(ValueError):
     """Input parsed fine but names an object outside the operation's domain."""
+
+
+def _check_field_degree(L):
+    """Raise LimitExceeded when Q(2cos(pi/L)), of degree phi(2L)/2, has
+    degree over cap = 1024; its reduction table alone holds about
+    degree^2 entries.  phi(2L) <= L passes L <= 2 cap at once, and
+    phi(n) >= sqrt(n/2) refuses L > 4 cap^2 without factoring.
+    """
+    cap = 1024
+    if L <= 2 * cap:
+        return
+    if L <= 4 * cap * cap:
+        n = phi = 2 * L
+        p = 2
+        while p * p <= n:
+            if n % p == 0:
+                phi -= phi // p
+                while n % p == 0:
+                    n //= p
+            p += 1
+        if n > 1:
+            phi -= phi // n
+        if phi // 2 <= cap:
+            return
+    raise LimitExceeded("the field Q(2cos(pi/%d)) has degree over %d" % (L, cap))
 
 
 def _bond(x):
@@ -422,7 +447,9 @@ class CoxeterSystem:
         if matrix is None and gram is None:
             raise ValueError("need a Coxeter matrix or a Gram matrix")
         if gram is None:
-            field = field_for_matrix(matrix)
+            L = bond_lcm(matrix)
+            _check_field_degree(L)
+            field = CyclotomicField(L)
             n = matrix.rank
             g = []
             for i in range(n):

@@ -11,13 +11,11 @@ closed forms reach the same normal form by dividing out cyclotomics.)
 
 import math
 import sys
-from collections import Counter
-from fractions import Fraction
 from operator import index, mul
 
-from .automata import count_by_length, lump
+from .automata import _count_words, lump
 from .core import LimitExceeded
-from .field import _poly_mul_into, _poly_trim, exact
+from .field import _poly_mul_into, _poly_trim
 
 
 class Polynomial:
@@ -240,7 +238,7 @@ def pal_series(pref):
 
 
 def berlekamp_massey(seq):
-    """Shortest linear recurrence of an exact sequence.
+    """Shortest linear recurrence of an int sequence.
 
     Returns (den, L): den is the connection polynomial as a coefficient
     list with den[0] = 1 and degree at most L, such that
@@ -248,14 +246,13 @@ def berlekamp_massey(seq):
     the whole sequence has linear complexity L and len(seq) >= 2L, the
     recurrence is the unique minimal one (Massey 1969).
 
-    Fraction-free: denominators are cleared up front, and each update
-    cross-multiplies by the two discrepancies instead of dividing, so
-    the connection polynomials stay primitive int vectors, each a
-    positive or negative multiple of the one Massey's division gives.
-    den is scaled to den[0] = 1 only at the end.
+    Fraction-free: each update cross-multiplies by the two discrepancies
+    instead of dividing, so the connection polynomials stay primitive
+    int vectors, each a positive or negative multiple of the one
+    Massey's division gives.  A primitive den scales to den[0] = 1 in
+    integers only when den[0] is +-1; otherwise ArithmeticError, which
+    an integral rational series never gives (Fatou's lemma).
     """
-    scale = math.lcm(*(x.denominator for x in seq)) if seq else 1
-    seq = [int(x * scale) for x in seq]
     den, prev = [1], [1]
     length, gap, prev_d = 0, 1, 1
     for k in range(len(seq)):
@@ -276,52 +273,31 @@ def berlekamp_massey(seq):
             gap += 1
         den = [c // content for c in new]
     lead = den[0]
-    return _poly_trim(exact(Fraction(c, lead)) for c in den), length
+    if lead not in (1, -1):
+        raise ArithmeticError("the recurrence has no integer form")
+    return _poly_trim(c * lead for c in den), length
 
 
 def dfa_series(dfa):
     """Generating series of the words the automaton accepts.
 
-    The count of words of length k is c_k = u A^k f, with A the n x n
-    transition matrix, u the initial row and f the final column.  A
-    partition of the states into p blocks with indicator matrix P (n x p)
-    whose blocks each agree on finality and on the number of transitions
-    into every block (`lump`) gives a p x p matrix A' with A P = P A',
-    f = P f' and u' = u P, so c_k = u A^k P f' = u P A'^k f' = u' A'^k f':
-    the quotient counts the same words.  By Cayley-Hamilton on A' the
-    counts obey a linear recurrence of order at most p, so the first
-    2p + 5 counts go to the one reduction (_from_coefficients, n = p),
-    which reads the series off the first 2p + 1 and checks it against
-    all 2p + 5.  A finite language shows there as p zero counts from
-    length p on.
-
+    The count of words of length k is c_k = u A^k f, with A the p x p
+    matrix of a table, u its initial row and f its final column, so by
+    Cayley-Hamilton the counts obey a recurrence of order at most p, and
+    the first 2p + 5 go to the one reduction (_from_coefficients, n = p),
+    where a finite language shows as zero counts from length p on.
     When every transition leads to a later state in breadth-first order
-    (every finite group) the language is finite outright, the count walk
-    is linear, and the refinement would cost more than it saves, so the
-    table is counted as it is.
+    (every finite group), the table is the automaton's own: its walk is
+    linear, and the refinement would cost more than it saves.  Otherwise
+    it is the quotient (`lump`): with P the n x p indicator matrix of
+    its blocks, A P = P A', f = P f' and u' = u P, so
+    c_k = u A^k P f' = u P A'^k f' = u' A'^k f'.
     """
-    table = dfa.table
-    if all(j > i for i, row in enumerate(table) for j in row if j is not None):
-        return RationalSeries._reduced(
-            Polynomial(count_by_length(dfa, len(table))), Polynomial([1]))
-    block = lump(dfa)
-    p = max(block) + 1
-    rows = [None] * p
-    for b, row in zip(block, table):
-        if rows[b] is None:
-            rows[b] = tuple(Counter(block[j] for j in row if j is not None).items())
-    final = [False] * p
-    for i in dfa.finals:
-        final[block[i]] = True
-    check = 2 * p + 5
-    counts = []
-    frontier = {block[dfa.initial]: 1}
-    while frontier and len(counts) < check:
-        counts.append(sum(c for b, c in frontier.items() if final[b]))
-        nxt = {}
-        for b, c in frontier.items():
-            for d, w in rows[b]:
-                nxt[d] = nxt.get(d, 0) + c * w
-        frontier = nxt
-    counts += [0] * (check - len(counts))
+    table, finals, initial = dfa.table, dfa.finals, dfa.initial
+    if not all(j > i for i, row in enumerate(table) for j in row if j is not None):
+        block, table = lump(dfa)
+        finals = {block[i] for i in finals}
+        initial = block[initial]
+    p = len(table)
+    counts = _count_words(table, finals, initial, 2 * p + 5)
     return RationalSeries._reduced(*_from_coefficients(counts, p))

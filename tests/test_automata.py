@@ -187,7 +187,7 @@ def test_states_are_the_regions_of_the_shi_arrangement(spec, h, n, m):
 def test_block_counts_of_the_coarsest_partition(spec, states, blocks):
     dfa = build_automaton(system(spec), 0, "red")
     assert len(dfa.states) == states
-    assert max(lump(dfa)) + 1 == blocks
+    assert max(lump(dfa)[0]) + 1 == blocks
 
 
 LUMP_SPECS = ["A3", "B3", "~A2", "~C2", "~G2", "~A3", "~B3", "U3",
@@ -198,15 +198,18 @@ LUMP_SPECS = ["A3", "B3", "~A2", "~C2", "~G2", "~A3", "~B3", "U3",
 @pytest.mark.parametrize("spec", LUMP_SPECS)
 def test_lump_is_a_stable_partition(spec, m):
     """Every block agrees on finality and on its multiset of successor
-    blocks, and the blocks are numbered 0..p-1."""
+    blocks, which its quotient row lists, and the blocks are numbered
+    0..p-1."""
     sysm = ck.CoxeterSystem(matrix=coxeter_matrix_from_descriptor(spec))
     for kind in ("red", "pref"):
         dfa = build_automaton(sysm, m, kind, limit=3000)
-        block = lump(dfa)
-        assert sorted(set(block)) == list(range(max(block) + 1))
+        block, rows = lump(dfa)
+        assert sorted(set(block)) == list(range(len(rows)))
         seen = {}
         for i, row in enumerate(dfa.table):
-            sig = (i in dfa.finals, sorted(block[j] for j in row if j is not None))
+            succ = tuple(sorted(block[j] for j in row if j is not None))
+            assert rows[block[i]] == succ, (spec, kind, i)
+            sig = (i in dfa.finals, succ)
             assert seen.setdefault(block[i], sig) == sig, (spec, kind, i)
 
 

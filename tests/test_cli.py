@@ -190,6 +190,21 @@ def test_automaton_state_cap_exit_code(capsys):
     assert "1000 states" in err
 
 
+def test_automaton_small_root_cap_exit_code(capsys):
+    # U4 has 1,062,880 11-small roots; the cap stops their enumeration
+    code, out, err = run(capsys, "automaton", "U4", "--m", "11", "--max-elements", "10")
+    assert (code, out, err) == (3, "", "error: root enumeration exceeded 10\n")
+
+
+def test_field_degree_cap_exit_code(capsys):
+    # Q(2cos(pi/4001)) has degree 2000, Q(2cos(pi/1009)) degree 504
+    code, out, err = run(capsys, "roots", "I2(4001)", "--max-depth", "1")
+    assert (code, out) == (3, "")
+    assert err == "error: the field Q(2cos(pi/4001)) has degree over 1024\n"
+    code, out, _ = run(capsys, "roots", "I2(1009)", "--max-depth", "1")
+    assert code == 0 and out.endswith("4 roots\n")
+
+
 @pytest.mark.parametrize("extra", [(), ("--json",)])
 def test_terms_past_the_digit_limit_exit_3(capsys, extra):
     # U8 words grow like 7^k: q^5089 has 4301 digits, one more than
