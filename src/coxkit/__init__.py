@@ -14,7 +14,7 @@ from .core import (
     preset,
     weak_order_leq,
 )
-from .field import AlgebraicNumber, CyclotomicField, field_for_matrix
+from .field import AlgebraicNumber, CyclotomicField
 from .roots import (
     Root,
     RootPoset,
@@ -23,7 +23,6 @@ from .roots import (
     m_small_roots,
     reflection_from_root,
     root_depth,
-    root_dpinf,
     root_poset,
     root_profile,
 )
@@ -55,7 +54,6 @@ from .series import (
     Polynomial,
     RationalSeries,
     dfa_series,
-    is_palindromic,
     pal_series,
 )
 from .affine import (

@@ -53,7 +53,7 @@ class AffineDatum:
 
     __slots__ = (
         "name", "finite", "finite_poset", "system", "omega", "orbits",
-        "_poset", "_poset_depth", "_orbit_cache",
+        "_poset", "_poset_depth",
     )
 
     def __init__(self, name, finite, finite_poset, system, omega, orbits):
@@ -65,7 +65,6 @@ class AffineDatum:
         self.orbits = orbits
         self._poset = None
         self._poset_depth = -1
-        self._orbit_cache = {}
 
     def __repr__(self):
         return "AffineDatum(%s, %d orbit(s))" % (self.name, len(self.orbits))
@@ -77,22 +76,9 @@ class AffineDatum:
             self._poset_depth = depth
         return self._poset
 
-    def root_rep(self, coords):
-        """(level k, signed finite vector a) for the root k*delta + a."""
-        k = coords[-1]
-        if k != int(k):
-            raise ValueError("non-integral delta level")
-        k = int(k)
-        vec = []
-        for c, w in zip(coords[:-1], self.omega):
-            v = c - k * w
-            if v != int(v):
-                raise ValueError("non-integral root coordinate")
-            vec.append(int(v))
-        return (k, tuple(vec))
-
     def rep_coords(self, rep):
-        """Inverse of root_rep, in the affine simple basis."""
+        """Coordinates, in the affine simple basis, of the root
+        k*delta + a given as rep = (level k, signed finite vector a)."""
         k, vec = rep
         return tuple(a + k * w for a, w in zip(vec, self.omega)) + (k,)
 
@@ -175,26 +161,34 @@ def orbit_series(datum, orbit_index):
 
     The root a at level 0 has its finite depth: s_0 is never a descent
     along its walk down, since B(b, a_0) = -B(b, omega) <= 0 for every
-    positive finite root b, the highest root omega being dominant.  So
-    only delta - a is walked down.
+    positive finite root b, the highest root omega being dominant.
+
+    dp(a) + dp(delta - a) is one number M for the whole orbit.  At an
+    up-cover a < s(a) of the finite poset, B(a, a_s) < 0; delta spans
+    the radical of the affine form, so B(delta - a, a_s) = -B(a, a_s)
+    > 0 and s takes delta - a one depth down, to delta - s(a): the sum
+    is unchanged along up-covers.  Reflections keep norms, so every root
+    of the orbit climbs by such covers to the orbit's one dominant root,
+    its deepest root and so its last index, and one descent, of delta
+    minus that root, gives M (for the long orbit that root is omega and
+    delta - omega = a_0).  The orbit holds a simple root, of depth 0, so
+    M is also the slice's deepest depth, and the slice polynomial P is
+    palindromic by construction.
     """
-    cached = datum._orbit_cache.get(orbit_index)
-    if cached is not None:
-        return cached
-    depths = {}
     poset = datum.finite_poset
-    for i in datum.orbits[orbit_index]:
-        a = poset.coords[i]
-        depths[datum.root_rep(a + (0,))] = poset.depths[i]
-        coords = tuple(w - c for w, c in zip(datum.omega, a)) + (1,)
-        depths[datum.root_rep(coords)] = root_depth(datum.system, coords)
-    m = max(depths.values())
+    orbit = datum.orbits[orbit_index]
+    top = orbit[-1]
+    delta_minus_top = tuple(w - c for w, c in zip(datum.omega, poset.coords[top])) + (1,)
+    m = poset.depths[top] + root_depth(datum.system, delta_minus_top)
+    depths = {}
     counts = [0] * (m + 1)
-    for d in depths.values():
+    for i in orbit:
+        a, d = poset.coords[i], poset.depths[i]
+        depths[(0, a)] = d
+        depths[(1, tuple(-c for c in a))] = m - d
         counts[d] += 1
-    out = OrbitSeries(orbit_index, Polynomial(counts), m, depths)
-    datum._orbit_cache[orbit_index] = out
-    return out
+        counts[m - d] += 1
+    return OrbitSeries(orbit_index, Polynomial(counts), m, depths)
 
 
 def depth_polynomial(datum):

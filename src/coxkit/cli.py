@@ -9,7 +9,8 @@ subcommand to a machine-readable report.
 success and for --help, 1 for an internal error, 2 for bad input
 (argparse's usage errors included), 3 when a resource cap is hit, 4 for
 the library's domain errors (`core.DomainError`), such as a word that is
-not a reflection.
+not a reflection, and 141 (128 + SIGPIPE) when the reader of stdout
+closes it early.
 """
 
 import argparse
@@ -298,7 +299,7 @@ def build_parser():
                    help="exact generating series of the language")
     p.add_argument("--terms", type=_count, default=12)
     p.add_argument("--max-elements", type=_count, default=200000,
-                   help="cap on automaton states")
+                   help="cap on the m-small roots and on automaton states")
     _add_common(p)
     p.set_defaults(func=cmd_automaton)
 
@@ -356,6 +357,20 @@ def _apply_mem_cap():
         pass
 
 
+def _quiet_stdout():
+    """Point fd 1 at os.devnull after a broken pipe, so that the
+    interpreter's final flush of stdout has somewhere to go (the SIGPIPE
+    note of the `signal` module docs).  A stdout with no file descriptor,
+    such as a StringIO, is left as it is."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None):
     try:
         _apply_mem_cap()
@@ -363,7 +378,12 @@ def main(argv=None):
             args = _parser().parse_args(argv)
         except SystemExit as exc:  # --help (0) or a usage error (2)
             return exc.code
-        return args.func(args, sys.stdout)
+        code = args.func(args, sys.stdout)
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:  # the reader closed stdout early, as `head` does
+        _quiet_stdout()
+        return 141
     except DomainError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 4

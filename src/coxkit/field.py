@@ -210,16 +210,6 @@ class CyclotomicField:
             theta_coeffs[1] = 1
         self.theta = AlgebraicNumber(self, tuple(theta_coeffs))
 
-    @property
-    def _lo(self):
-        lo, _, k = self._theta
-        return Fraction(lo, 2 ** k)
-
-    @property
-    def _hi(self):
-        _, hi, k = self._theta
-        return Fraction(hi, 2 ** k)
-
     def _isolate_largest_root(self):
         """Dyadic interval (lo, hi, k), that is [lo/2^k, hi/2^k], around
         2cos(pi/L), the largest root of minpoly, for L >= 4.
@@ -488,11 +478,3 @@ def bond_lcm(matrix):
     n = matrix.rank
     return lcm(*(m for i in range(n) for j in range(i + 1, n)
                  if (m := matrix.entry(i, j)) >= 3))
-
-
-def field_for_matrix(matrix):
-    """Smallest shared real cyclotomic field for a Coxeter matrix:
-    L = bond_lcm(matrix), so L = 1 (the form is rational) when every
-    bond is 2 or infinite.
-    """
-    return CyclotomicField(bond_lcm(matrix))

@@ -95,9 +95,6 @@ class RootPoset:
     def __len__(self):
         return len(self.coords)
 
-    def max_depth(self):
-        return self.depths[-1] if self.depths else 0
-
     def label(self, i):
         return self.labels()[i]
 
@@ -313,10 +310,6 @@ def root_profile(system, coords):
 
 def root_depth(system, coords):
     return len(_descend(system, coords)[0])
-
-
-def root_dpinf(system, coords):
-    return root_profile(system, coords)[1]
 
 
 def reflection_from_root(system, coords):

@@ -95,11 +95,6 @@ class Polynomial:
         return Polynomial(self.coeffs[-j:])
 
 
-def is_palindromic(p):
-    """True when the coefficients read the same reversed."""
-    return p.coeffs == tuple(reversed(p.coeffs))
-
-
 class RationalSeries:
     """Quotient num/den with gcd(num, den) = 1 and den(0) = 1.
 

@@ -5,12 +5,13 @@ from fractions import Fraction
 import pytest
 
 import coxkit as ck
+from coxkit import affine
 from coxkit.affine import (
     AffineDatum, _gram_from_norms, affine_datum, affine_slice, affine_to_obj, depth_polynomial,
     depth_series, orbit_series, reflection_series,
 )
 from coxkit.roots import root_depth
-from coxkit.series import Polynomial, RationalSeries, is_palindromic
+from coxkit.series import Polynomial, RationalSeries
 from oracles import euclid_reduce, root_orbits
 
 AFFINE_PRESETS = (
@@ -63,16 +64,6 @@ def test_extended_system_matches_coxeter_matrix():
         assert d.system.matrix.entries == ck.preset(name).entries
 
 
-def test_root_rep_round_trip():
-    d = affine_datum("~C2")
-    poset = d.poset(6)
-    for r in poset.roots:
-        rep = d.root_rep(r.coords)
-        assert d.rep_coords(rep) == tuple(Fraction(c) for c in r.coords)
-        k, vec = rep
-        assert k >= 0
-
-
 def test_orbit_series_counts_two_slices():
     d = affine_datum("~A2")
     o = orbit_series(d, 0)
@@ -108,9 +99,10 @@ def test_numerators_are_palindromic():
                  "~D4", "~E6"):
         d = affine_datum(name)
         p, m = depth_polynomial(d)
-        assert is_palindromic(p), name
+        assert p.coeffs == p.coeffs[::-1], name
         for i in range(len(d.orbits)):
-            assert is_palindromic(orbit_series(d, i).p), (name, i)
+            po = orbit_series(d, i).p
+            assert po.coeffs == po.coeffs[::-1], (name, i)
 
 
 def test_depth_series_matches_census():
@@ -191,6 +183,25 @@ def test_slice_depths_are_the_greedy_descent_depths(name):
         assert len(depths) == 2 * len(d.orbits[i])
         for rep, depth in depths.items():
             assert depth == root_depth(d.system, d.rep_coords(rep)), rep
+
+
+@pytest.mark.parametrize("name", AFFINE_PRESETS)
+def test_orbit_series_descends_once_per_orbit(monkeypatch, name):
+    """dp(a) + dp(delta - a) is one M per orbit, so a single walk down
+    fixes every depth of the slice; walking each delta - a down would
+    take one call per root."""
+    calls = []
+
+    def counted(system, coords):
+        calls.append(coords)
+        return root_depth(system, coords)
+
+    monkeypatch.setattr(affine, "root_depth", counted)
+    d = affine_datum(name)
+    for i in range(len(d.orbits)):
+        del calls[:]
+        orbit_series(d, i)
+        assert len(calls) <= 1, (name, i)
 
 
 def test_orbit_series_needs_no_affine_poset(monkeypatch):

@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -18,6 +21,21 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _env(**extra):
+    """The environment of a fresh `python3 -m coxkit` from the checkout."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def _coxkit(*argv, **env):
+    """(exit code, stdout, stderr) of `python3 -m coxkit argv`."""
+    proc = subprocess.run([sys.executable, "-m", "coxkit", *argv], env=_env(**env),
+                          capture_output=True, text=True, timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def test_roots_text(capsys):
@@ -246,6 +264,49 @@ def test_mem_cap_must_be_integer(capsys, monkeypatch):
     code, _, err = run(capsys, "roots", "A2", "--max-depth", "2")
     assert code == 2
     assert "COXKIT_MAX_MEM" in err
+
+
+def _address_space_cap_holds():
+    """Whether a fresh interpreter under RLIMIT_AS = 150 MB fails to map
+    300 MB (mapped, never touched, so an unenforced cap costs nothing)."""
+    probe = ("import mmap, resource\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (150_000_000, 150_000_000))\n"
+             "try:\n    mmap.mmap(-1, 300_000_000)\nexcept OSError:\n    raise SystemExit(7)\n")
+    try:
+        import resource  # noqa: F401
+    except ImportError:
+        return False
+    return subprocess.run([sys.executable, "-c", probe], timeout=60).returncode == 7
+
+
+def test_mem_cap_exits_3_in_a_fresh_process():
+    """The documented COXKIT_MAX_MEM guard: the U4 poset past depth 10
+    outgrows 150 MB and exits 3 with one line, never a traceback."""
+    if not _address_space_cap_holds():
+        pytest.skip("RLIMIT_AS is not enforced here")
+    code, out, err = _coxkit("roots", "U4", "--max-depth", "11", "--max-roots", "5000000",
+                             COXKIT_MAX_MEM="150000000")
+    assert (code, out, err) == (3, "", "error: memory cap exceeded\n")
+    code, out, err = _coxkit("roots", "A2", "--max-depth", "2", COXKIT_MAX_MEM="abc")
+    assert (code, out) == (2, "")
+    assert err == "error: COXKIT_MAX_MEM must be an integer byte count\n"
+
+
+def test_closed_pipe_exits_141_without_a_traceback():
+    """A reader that takes one line and closes the pipe, as `head -1`
+    does.  The census goes out a line at a time, 259 KB in all, far past
+    a default 64 KiB pipe, so a later write fails, and coxkit exits
+    128 + SIGPIPE with nothing on stderr."""
+    proc = subprocess.Popen([sys.executable, "-m", "coxkit", "reflections", "~A2",
+                             "--max-length", "401"], env=_env(), stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"1  length=1  palindrome=1\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert b"Traceback" not in err
+    assert err == b""
 
 
 def test_output_is_deterministic(capsys):

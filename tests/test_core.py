@@ -8,7 +8,7 @@ import pytest
 import coxkit as ck
 from coxkit.affine import affine_datum
 from coxkit.core import _plain
-from coxkit.field import AlgebraicNumber
+from coxkit.field import AlgebraicNumber, bond_lcm
 from coxkit.roots import _descend
 from oracles import reduced_word_trie
 
@@ -308,7 +308,7 @@ def _gram_by_the_old_formula(matrix):
     """The unitary Gram matrix with every off-diagonal entry computed on
     its own, -cos(pi/m) from the field, and the Cartan coefficients as
     B(a_s, a_j) times 2/|a_s|^2."""
-    field = ck.field_for_matrix(matrix)
+    field = ck.CyclotomicField(bond_lcm(matrix))
     n = matrix.rank
     g = [[field.one if i == j
           else field.from_rational(-1) if matrix.entry(i, j) == 0

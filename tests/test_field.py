@@ -7,18 +7,24 @@ from fractions import Fraction
 import pytest
 
 import coxkit as ck
-from coxkit.field import CyclotomicField, _dyadic_eval, _poly_divmod, field_for_matrix
+from coxkit.field import CyclotomicField, _dyadic_eval, _poly_divmod, bond_lcm
 from oracles import horner, sturm_chain, sturm_count
+
+
+def _theta_interval(f):
+    """The field's dyadic interval around theta, as Fractions."""
+    lo, hi, k = f._theta
+    return Fraction(lo, 2 ** k), Fraction(hi, 2 ** k)
 
 
 def test_theta_matches_float_value():
     for L in (4, 5, 6, 7, 12):
         f = CyclotomicField(L)
-        lo, hi = f._lo, f._hi
         for _ in range(20):
             f.refine_theta()
-        assert f._lo <= Fraction(2 * math.cos(math.pi / L)).limit_denominator(10 ** 9) <= f._hi or \
-            abs(float((f._lo + f._hi) / 2) - 2 * math.cos(math.pi / L)) < 1e-6
+        lo, hi = _theta_interval(f)
+        assert lo <= Fraction(2 * math.cos(math.pi / L)).limit_denominator(10 ** 9) <= hi or \
+            abs(float((lo + hi) / 2) - 2 * math.cos(math.pi / L)) < 1e-6
 
 
 def test_small_l_rational():
@@ -87,9 +93,9 @@ def test_hash_and_dict_keys():
 
 def test_field_for_matrix_lcm():
     m = ck.CoxeterMatrix([[1, 3, 2], [3, 1, 4], [2, 4, 1]])
-    f = field_for_matrix(m)
+    f = CyclotomicField(bond_lcm(m))
     assert f.L == 12
-    rat = field_for_matrix(ck.CoxeterMatrix([[1, 2], [2, 1]]))
+    rat = CyclotomicField(bond_lcm(ck.CoxeterMatrix([[1, 2], [2, 1]])))
     assert rat.L == 1
     assert rat.degree == 1
 
@@ -139,7 +145,8 @@ def test_integer_sign_matches_the_rational_enclosure():
     assert (f.from_rational(Fraction(193, 100)) - t).sign() == -1
     assert (f.from_rational(Fraction(194, 100)) - t).sign() == 1
     assert (t * Fraction(1, 3) - f.from_rational(Fraction(64, 100))).sign() == 1
-    assert f._lo < Fraction(1932, 1000) < f._hi
+    lo, hi = _theta_interval(f)
+    assert lo < Fraction(1932, 1000) < hi
 
 
 def test_theta_interval_is_the_closed_form_and_isolates_theta():
@@ -148,7 +155,7 @@ def test_theta_interval_is_the_closed_form_and_isolates_theta():
     other, counted with the Fraction Sturm chain."""
     for L in range(1, 401):
         f = CyclotomicField(L)
-        lo, hi = f._lo, f._hi
+        lo, hi = _theta_interval(f)
         if L >= 4:
             j = 0
             while 10 * 2 ** (j + 1) <= L * L:

@@ -122,7 +122,7 @@ def test_small_roots_down_closed():
     enumeration never misses one."""
     sysm = system("~C2")
     small = ck.m_small_roots(sysm, 1)
-    deep = ck.root_poset(sysm, max_depth=small.max_depth() + 1)
+    deep = ck.root_poset(sysm, max_depth=small.depths[-1] + 1)
     wanted = {r.coords for r in deep.roots if r.dpinf <= 1}
     assert wanted == {r.coords for r in small.roots}
 

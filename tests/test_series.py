@@ -11,7 +11,7 @@ from coxkit import series
 from coxkit.automata import Dfa, build_automaton, count_by_length, lump
 from coxkit.core import LimitExceeded, coxeter_matrix_from_descriptor
 from coxkit.series import (
-    Polynomial, RationalSeries, berlekamp_massey, dfa_series, is_palindromic, pal_series,
+    Polynomial, RationalSeries, berlekamp_massey, dfa_series, pal_series,
 )
 from oracles import euclid_gcd, euclid_reduce
 
@@ -63,13 +63,6 @@ def test_substitute_power_rejects_k_below_one(k):
         P(1, 2).substitute_power(k)
     with pytest.raises(ValueError):
         RationalSeries(P(1), P(1, -1)).substitute_power(k)
-
-
-def test_palindromic_detection():
-    assert is_palindromic(P(1, 2, 1))
-    assert is_palindromic(P(4, 4, 5, 4, 4))
-    assert not is_palindromic(P(1, 2))
-    assert is_palindromic(P())
 
 
 def _random_poly(rng, degree):
