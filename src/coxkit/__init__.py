@@ -12,14 +12,12 @@ from .core import (
     is_reflection,
     parse_word,
     preset,
-    weak_order_leq,
 )
 from .field import AlgebraicNumber, CyclotomicField
 from .roots import (
     Root,
     RootPoset,
     dominance_set,
-    dominates,
     m_small_roots,
     reflection_from_root,
     root_depth,
@@ -31,7 +29,6 @@ from .prefixes import (
     check_prefix_bilinear,
     is_reflection_prefix,
     palindromic_word,
-    prefix_of_reflection,
     prefixes_of,
     reflections_up_to,
 )
@@ -39,7 +36,6 @@ from .dihedral import (
     DihedralSubgroup,
     canonical_generators,
     canonical_generators_repfree,
-    subgroup_inversions,
 )
 from .automata import (
     Dfa,
@@ -58,10 +54,8 @@ from .series import (
 )
 from .affine import (
     AffineDatum,
-    AffineSlice,
     OrbitSeries,
     affine_datum,
-    affine_slice,
     affine_to_obj,
     depth_polynomial,
     depth_series,

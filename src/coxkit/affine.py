@@ -53,7 +53,6 @@ class AffineDatum:
 
     __slots__ = (
         "name", "finite", "finite_poset", "system", "omega", "orbits",
-        "_poset", "_poset_depth",
     )
 
     def __init__(self, name, finite, finite_poset, system, omega, orbits):
@@ -63,24 +62,14 @@ class AffineDatum:
         self.system = system
         self.omega = omega
         self.orbits = orbits
-        self._poset = None
-        self._poset_depth = -1
 
     def __repr__(self):
         return "AffineDatum(%s, %d orbit(s))" % (self.name, len(self.orbits))
 
     def poset(self, depth):
-        """Affine root poset out to at least the given depth, cached."""
-        if depth > self._poset_depth:
-            self._poset = root_poset(self.system, max_depth=depth)
-            self._poset_depth = depth
-        return self._poset
-
-    def rep_coords(self, rep):
-        """Coordinates, in the affine simple basis, of the root
-        k*delta + a given as rep = (level k, signed finite vector a)."""
-        k, vec = rep
-        return tuple(a + k * w for a, w in zip(vec, self.omega)) + (k,)
+        """Affine root poset out to the given depth.  Kept for the
+        affine.poset_roots counter of bench/spans.py."""
+        return root_poset(self.system, max_depth=depth)
 
 
 def affine_datum(name):
@@ -141,13 +130,12 @@ def _orbit_split(poset, omega):
 class OrbitSeries:
     """Depth data of one orbit's level-zero slice."""
 
-    __slots__ = ("orbit", "p", "m", "depths")
+    __slots__ = ("orbit", "p", "m")
 
-    def __init__(self, orbit, p, m, depths):
+    def __init__(self, orbit, p, m):
         self.orbit = orbit
         self.p = p
         self.m = m
-        self.depths = depths
 
     def series(self):
         return _lowest_terms(self.p, self.m + 1)
@@ -180,21 +168,22 @@ def orbit_series(datum, orbit_index):
     top = orbit[-1]
     delta_minus_top = tuple(w - c for w, c in zip(datum.omega, poset.coords[top])) + (1,)
     m = poset.depths[top] + root_depth(datum.system, delta_minus_top)
-    depths = {}
     counts = [0] * (m + 1)
     for i in orbit:
-        a, d = poset.coords[i], poset.depths[i]
-        depths[(0, a)] = d
-        depths[(1, tuple(-c for c in a))] = m - d
+        d = poset.depths[i]
         counts[d] += 1
         counts[m - d] += 1
-    return OrbitSeries(orbit_index, Polynomial(counts), m, depths)
+    return OrbitSeries(orbit_index, Polynomial(counts), m)
 
 
 def depth_polynomial(datum):
     """Numerator P and period M with sum(q^dp) = P(q)/(1 - q^M),
     P left unreduced so its coefficients can be read off."""
-    data = [orbit_series(datum, i) for i in range(len(datum.orbits))]
+    return _combine([orbit_series(datum, i) for i in range(len(datum.orbits))])
+
+
+def _combine(data):
+    """depth_polynomial from the OrbitSeries of every orbit."""
     lcm = math.lcm(*(d.m + 1 for d in data))
     total = Polynomial()
     for d in data:
@@ -245,60 +234,18 @@ def reflection_series(datum):
     return _closed_forms(*depth_polynomial(datum))[1]
 
 
-class AffineSlice:
-    """Level-k copy of an orbit slice with its depths and cover edges."""
-
-    __slots__ = ("orbit", "level", "depths", "edges")
-
-    def __init__(self, orbit, level, depths, edges):
-        self.orbit = orbit
-        self.level = level
-        self.depths = depths
-        self.edges = edges
-
-    def __repr__(self):
-        return "AffineSlice(orbit=%d, level=%d, %d roots)" % (
-            self.orbit, self.level, len(self.depths))
-
-
-def affine_slice(datum, orbit_index, k):
-    """The roots k*delta + a and (k+1)*delta - a over one orbit, with
-    depths and the cover edges that stay inside the slice."""
-    base = orbit_series(datum, orbit_index)
-    need = (k + 1) * (base.m + 1)
-    poset = datum.poset(need)
-    reps = set()
-    for (lvl, vec), _ in base.depths.items():
-        reps.add((lvl + k, vec))
-    depths = {}
-    ids = {}
-    for rep in reps:
-        j = poset.index.get(datum.rep_coords(rep))
-        if j is None:
-            raise ArithmeticError("slice escaped the computed depth")
-        depths[rep] = poset.depths[j]
-        ids[j] = rep
-    edges = []
-    for lo, hi, s, long_step in poset.edges:
-        if lo in ids and hi in ids:
-            edges.append((ids[lo], ids[hi], s, long_step))
-    return AffineSlice(orbit_index, k, depths, sorted(edges))
-
-
 def affine_to_obj(datum, terms=None):
     """Summary dictionary: per-orbit data, combined closed form, and
     the reflection series."""
-    p, m = depth_polynomial(datum)
+    data = [orbit_series(datum, i) for i in range(len(datum.orbits))]
+    p, m = _combine(data)
     phi, refl = _closed_forms(p, m)
-    orbits = []
-    for i in range(len(datum.orbits)):
-        d = orbit_series(datum, i)
-        orbits.append({
-            "orbit": i + 1,
-            "size": len(datum.orbits[i]),
-            "P": [str(c) for c in d.p.coeffs],
-            "M": d.m,
-        })
+    orbits = [{
+        "orbit": d.orbit + 1,
+        "size": len(datum.orbits[d.orbit]),
+        "P": [str(c) for c in d.p.coeffs],
+        "M": d.m,
+    } for d in data]
     obj = {
         "type": datum.name,
         "rank": datum.finite.rank,

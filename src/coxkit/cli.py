@@ -15,6 +15,7 @@ closes it early.
 
 import argparse
 import functools
+import io
 import os
 import sys
 from json.encoder import encode_basestring_ascii
@@ -22,9 +23,9 @@ from json.encoder import encode_basestring_ascii
 from .affine import affine_datum, affine_to_obj
 from .automata import build_automaton, dfa_to_dot, dfa_to_obj
 from .core import CoxeterSystem, DomainError, LimitExceeded, \
-    coxeter_matrix_from_descriptor, format_word, is_reflection, parse_word
+    coxeter_matrix_from_descriptor, format_word, parse_word
 from .dihedral import canonical_generators
-from .prefixes import _palindrome, _prefixes_of, is_reflection_prefix, reflections_up_to
+from .prefixes import _palindrome, is_reflection_prefix, prefixes_of, reflections_up_to
 from .roots import root_poset
 from .series import dfa_series
 
@@ -196,9 +197,11 @@ def cmd_reflections(args, out):
 def cmd_prefixes(args, out):
     system = _system(args.spec)
     w = system.element(parse_word(args.word, system.rank))
-    root = is_reflection(w)
-    if root is not None:
-        prefs = _prefixes_of(system, w, root, args.max_roots)
+    try:
+        prefs = prefixes_of(system, w, args.max_roots)
+    except DomainError:  # not a reflection: w is checked as a prefix instead
+        prefs = None
+    if prefs is not None:
         # the first prefix is the one the greedy descent spells
         pal = _palindrome(prefs[0].element.word)
         if args.json:
@@ -357,6 +360,25 @@ def _apply_mem_cap():
         pass
 
 
+class _Stdout:
+    """sys.stdout, writing every byte.  A pipe whose reader closes
+    mid-write takes only part of it, and over an unbuffered binary layer
+    (`python -u`) the text layer drops the rest without an error; so the
+    bytes go out until all are taken, and the next write raises
+    BrokenPipeError.  A buffered layer does that itself."""
+
+    def write(self, text):
+        out = sys.stdout
+        raw = getattr(out, "buffer", None)
+        if not isinstance(raw, io.RawIOBase):
+            out.write(text)
+            return
+        out.flush()
+        data = memoryview(text.encode(out.encoding, out.errors))
+        while data:
+            data = data[raw.write(data):]
+
+
 def _quiet_stdout():
     """Point fd 1 at os.devnull after a broken pipe, so that the
     interpreter's final flush of stdout has somewhere to go (the SIGPIPE
@@ -378,7 +400,7 @@ def main(argv=None):
             args = _parser().parse_args(argv)
         except SystemExit as exc:  # --help (0) or a usage error (2)
             return exc.code
-        code = args.func(args, sys.stdout)
+        code = args.func(args, _Stdout())
         sys.stdout.flush()  # so that a closed pipe shows here, not at exit
         return code
     except BrokenPipeError:  # the reader closed stdout early, as `head` does

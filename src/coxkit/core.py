@@ -593,7 +593,8 @@ def cayley_bfs(system, max_length=None, limit=None):
 
     Parents are processed in discovery order and letters tried in
     increasing order; first-seen words are then shortlex minimal, so
-    every element comes out carrying its canonical word.
+    every element comes out carrying its canonical word.  Kept for the
+    core.bfs span of bench/spans.py and the tests' brute-force balls.
     """
     order = [system.identity]
     seen = {system._id_rows}
@@ -615,13 +616,6 @@ def cayley_bfs(system, max_length=None, limit=None):
             if limit is not None and len(order) > limit:
                 raise LimitExceeded("enumeration exceeded %d elements" % limit)
     return order
-
-
-def weak_order_leq(u, w):
-    """Right weak order: u <= w iff l(u) + l(u^-1 w) = l(w)."""
-    if u.length > w.length:
-        return False
-    return u.length + (u.inverse() * w).length == w.length
 
 
 def is_reflection(w):

@@ -35,7 +35,7 @@ from fractions import Fraction
 from .core import DomainError, _plain
 from .field import exact
 from .prefixes import _reflection_root
-from .roots import Root, reflection_from_root, root_depth, root_profile
+from .roots import reflection_from_root, root_depth
 
 
 class DihedralSubgroup:
@@ -44,15 +44,12 @@ class DihedralSubgroup:
     canonical holds the pair of reflections whose roots form the
     subgroup's own simple system; order_m is the order of their
     product, with 0 standing for infinite.
-    simple_roots is None from canonical_generators_repfree.
     """
 
-    __slots__ = ("gens_input", "canonical", "simple_roots", "order_m")
+    __slots__ = ("canonical", "order_m")
 
-    def __init__(self, gens_input, canonical, simple_roots, order_m):
-        self.gens_input = gens_input
+    def __init__(self, canonical, order_m):
         self.canonical = canonical
-        self.simple_roots = simple_roots
         self.order_m = order_m
 
     def __repr__(self):
@@ -98,19 +95,6 @@ def _subgroup_roots(system, ar, at, cap):
     return finite, found
 
 
-def subgroup_inversions(system, p, r, t):
-    """Inversions of p that lie in <r, t>, in inversion-set order."""
-    ar = _reflection_root(system, r)
-    at = _reflection_root(system, t)
-    _, sub = _subgroup_roots(system, ar, at, max(p.length - 1, 0))
-    out = []
-    for a in p.inversion_set():
-        if a in sub:
-            dp, dpinf, _ = root_profile(system, a)
-            out.append(Root(a, dp, dpinf, system.norm_sq(a), None))
-    return out
-
-
 def canonical_generators(system, r, t):
     """The canonical generator pair of <r, t>: its two shallowest roots,
     no deeper than the deeper input.  m = order(rt) is the number of
@@ -128,15 +112,14 @@ def canonical_generators(system, r, t):
         raise DomainError("the two reflections must be distinct")
     finite, sub = _subgroup_roots(system, ar, at, (max(r.length, t.length) - 1) // 2)
     given = {ar: r, at: t}
-    pair = [(given[a] if a in given else reflection_from_root(system, a), a)
-            for a in sorted(sub, key=sub.get)[:2]]
-    (c1, a1), (c2, a2) = sorted(pair, key=lambda ca: (ca[0].length, ca[0].word))
-    return DihedralSubgroup((r, t), (c1, c2), (a1, a2), len(sub) if finite else 0)
+    pair = sorted((given[a] if a in given else reflection_from_root(system, a)
+                   for a in sorted(sub, key=sub.get)[:2]), key=lambda c: (c.length, c.word))
+    return DihedralSubgroup(tuple(pair), len(sub) if finite else 0)
 
 
 def canonical_generators_repfree(system, r, t):
-    """canonical_generators without the simple roots.  Kept by name for
-    the dihedral.repfree span of bench/spans.py, which wraps it."""
-    sub = canonical_generators(system, r, t)
-    return DihedralSubgroup(sub.gens_input, sub.canonical, None, sub.order_m)
+    """canonical_generators under a second name, in its own def: the
+    dihedral.repfree span of bench/spans.py wraps it by name, and an
+    alias of canonical_generators would be wrapped twice."""
+    return canonical_generators(system, r, t)
 

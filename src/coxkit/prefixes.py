@@ -83,16 +83,9 @@ def is_reflection_prefix(system, w):
 
 
 def check_prefix_bilinear(system, w):
-    """Prefix test through the form alone (see _prefix_root)."""
+    """Prefix test through the form alone (see _prefix_root).  Kept for
+    the prefixes.check span of bench/spans.py."""
     return _prefix_root(system, w) is not None
-
-
-def prefix_of_reflection(system, t):
-    """One prefix of t, spelled by the greedy descent of its root."""
-    root = _reflection_root(system, t)
-    steps, r = _descend(system, root)
-    p = system.element([s for s, _ in steps] + [r])
-    return ReflectionPrefix(p, t, root, r)
 
 
 def prefixes_of(system, t, limit=None):
@@ -101,14 +94,7 @@ def prefixes_of(system, t, limit=None):
     Walks the saturated chains of the root poset from the root of t
     down to a simple root; the chain letters followed by the simple
     letter spell a prefix word.  Distinct chains can spell the same
-    element, so the result is deduplicated.  limit caps the roots the
-    walk may visit.
-    """
-    return _prefixes_of(system, t, _reflection_root(system, t), limit)
-
-
-def _prefixes_of(system, t, root, limit):
-    """prefixes_of for a reflection t whose root is already known.
+    element, so the result is deduplicated.
 
     The walk starts at the root of t and visits only the roots below it:
     the lower covers of a non-simple root b are the s(b) = b - c a_s with
@@ -122,6 +108,7 @@ def _prefixes_of(system, t, root, limit):
     one generator product each per step, and each distinct prefix is
     stripped to its normal form once, at the end.
     """
+    root = _reflection_root(system, t)
     dp = root_depth(system, root)
     covers = {}
     leaves = {}
@@ -172,7 +159,8 @@ def _palindrome(prefix_word):
 
 def palindromic_word(system, t):
     """A reduced word for the reflection t of the shape u r reverse(u):
-    the greedy descent word of its root, closed up."""
+    the greedy descent word of its root, closed up.  Kept for the
+    prefixes.palindromic span of bench/spans.py."""
     steps, r = _descend(system, _reflection_root(system, t))
     return _palindrome(tuple(s for s, _ in steps) + (r,))
 

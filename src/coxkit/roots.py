@@ -72,7 +72,8 @@ class RootPoset:
 
     @functools.cached_property
     def roots(self):
-        """One Root per root, in index order."""
+        """One Root per root, in index order.  The README shows it, and
+        the hooks of bench/spans.py read its length."""
         return [Root(*row, i) for i, row in
                 enumerate(zip(self.coords, self.depths, self.dpinfs, self.norms))]
 
@@ -301,7 +302,7 @@ def root_profile(system, coords):
 
     Any letter with B(g, a_s) > 0 lowers depth by exactly 1, and the
     long-step count is the same along every descent, so one walk gives
-    both gradings.
+    both gradings.  Kept for the roots.profile span of bench/spans.py.
     """
     steps, _ = _descend(system, coords)
     longs = sum(_long_steps(system, steps, system.norm_sq(coords)))
@@ -333,22 +334,6 @@ def _close_up(system, word):
     for s in reversed(word[:-1]):
         rows = _right_mul_gen(system, _left_mul_gen(system, rows, s), s)
     return GroupElement(system, rows, rows, _shortlex_word(system, rows))
-
-
-def dominates(system, beta, alpha):
-    """True when beta dominates alpha: every w with w(beta) < 0 also
-    sends alpha negative.  For positive roots this is B(alpha, beta) > 0
-    with B^2 >= |alpha|^2 |beta|^2 and dp(alpha) <= dp(beta)."""
-    beta = tuple(beta)
-    alpha = tuple(alpha)
-    if alpha == beta:
-        return True
-    b = system.bilinear(alpha, beta)
-    if not b > 0:
-        return False
-    if b * b < system.norm_sq(alpha) * system.norm_sq(beta):
-        return False
-    return root_depth(system, alpha) <= root_depth(system, beta)
 
 
 def dominance_set(system, beta):

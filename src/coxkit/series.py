@@ -72,12 +72,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def evaluate(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def substitute_power(self, k):
         """The polynomial in q^k, k >= 1."""
         if k < 1:
@@ -227,7 +221,8 @@ def pal_series(pref):
 
     A palindrome of length 2k+1 is the closure of its prefix of length
     k+1, so the coefficient at q^{2k+1} equals the prefix coefficient
-    at q^{k+1}: substitute q^2 and shift down one power.
+    at q^{k+1}: substitute q^2 and shift down one power.  No report
+    prints it yet; it gives the palindrome counts the README lists.
     """
     return pref.substitute_power(2).times_power(-1)
 

@@ -2,11 +2,20 @@
 
 Everything here goes through plain group arithmetic, or for the field
 through plain polynomial arithmetic, never through the structures under
-test, so a bug cannot cancel on both sides.
+test, so a bug cannot cancel on both sides.  The last section holds the
+library's own helpers that only tests call (dominates,
+subgroup_inversions, affine_slice); they read the library's structures
+and serve as references for its other paths.
 """
 
 import math
+from collections import namedtuple
 from fractions import Fraction
+
+from coxkit.affine import orbit_series
+from coxkit.dihedral import _subgroup_roots
+from coxkit.prefixes import _reflection_root
+from coxkit.roots import Root, root_depth, root_profile
 
 
 def reduced_word_trie(system, max_len):
@@ -478,3 +487,75 @@ def dyer_canonical(system, r, t):
     chi = [u for u in refs
            if not any(x != u and (x * u).length < u.length for x in refs)]
     return chi, m
+
+
+# Helpers built on the library that only tests call.
+
+
+def dominates(system, beta, alpha):
+    """True when beta dominates alpha: every w with w(beta) < 0 also
+    sends alpha negative.  For positive roots this is B(alpha, beta) > 0
+    with B^2 >= |alpha|^2 |beta|^2 and dp(alpha) <= dp(beta): the
+    pairwise reference for roots.dominance_set."""
+    beta = tuple(beta)
+    alpha = tuple(alpha)
+    if alpha == beta:
+        return True
+    b = system.bilinear(alpha, beta)
+    if not b > 0:
+        return False
+    if b * b < system.norm_sq(alpha) * system.norm_sq(beta):
+        return False
+    return root_depth(system, alpha) <= root_depth(system, beta)
+
+
+def subgroup_inversions(system, p, r, t):
+    """Inversions of p that lie in <r, t>, in inversion-set order, as
+    Root records, from the roots that dihedral._subgroup_roots walks."""
+    ar = _reflection_root(system, r)
+    at = _reflection_root(system, t)
+    _, sub = _subgroup_roots(system, ar, at, max(p.length - 1, 0))
+    out = []
+    for a in p.inversion_set():
+        if a in sub:
+            dp, dpinf, _ = root_profile(system, a)
+            out.append(Root(a, dp, dpinf, system.norm_sq(a), None))
+    return out
+
+
+def rep_coords(datum, rep):
+    """Coordinates, in the affine simple basis, of the root k*delta + a
+    given as rep = (level k, signed finite vector a)."""
+    k, vec = rep
+    return tuple(a + k * w for a, w in zip(vec, datum.omega)) + (k,)
+
+
+def slice_depths(datum, orbit_index):
+    """{rep: depth} over the level-0 slice {a, delta - a} of one orbit:
+    dp(a) from the finite poset and dp(delta - a) = M - dp(a), M from
+    affine.orbit_series."""
+    poset = datum.finite_poset
+    m = orbit_series(datum, orbit_index).m
+    out = {}
+    for i in datum.orbits[orbit_index]:
+        a, d = poset.coords[i], poset.depths[i]
+        out[(0, a)] = d
+        out[(1, tuple(-c for c in a))] = m - d
+    return out
+
+
+AffineSlice = namedtuple("AffineSlice", "orbit level depths edges")
+
+
+def affine_slice(datum, orbit_index, k):
+    """The roots k*delta + a and (k+1)*delta - a over one orbit, with
+    their depths and the cover edges inside the slice, read off the
+    affine root poset out to depth (k + 1)(M + 1)."""
+    base = slice_depths(datum, orbit_index)
+    poset = datum.poset((k + 1) * (max(base.values()) + 1))
+    reps = [(lvl + k, vec) for lvl, vec in base]
+    ids = {poset.index[rep_coords(datum, rep)]: rep for rep in reps}
+    edges = [(ids[lo], ids[hi], s, long_step) for lo, hi, s, long_step in poset.edges
+             if lo in ids and hi in ids]
+    return AffineSlice(orbit_index, k, {rep: poset.depths[j] for j, rep in ids.items()},
+                       sorted(edges))

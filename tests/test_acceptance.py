@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import coxkit as ck
 from coxkit.affine import (
-    affine_datum, affine_slice, depth_polynomial, depth_series,
+    affine_datum, depth_polynomial, depth_series,
     orbit_series, reflection_series,
 )
 from coxkit.automata import accepts, build_automaton, low_elements
@@ -22,8 +22,8 @@ from coxkit.series import (
     Polynomial, RationalSeries, dfa_series, pal_series,
 )
 from oracles import (
-    is_prefix_brute, palindrome_counts, prefix_word_brute, reduced_word_trie,
-    reflection_census,
+    affine_slice, is_prefix_brute, palindrome_counts, prefix_word_brute, reduced_word_trie,
+    reflection_census, rep_coords,
 )
 
 
@@ -284,11 +284,11 @@ def test_inversion_depth_and_slice_properties():
         for k in (0, 1):
             for s in range(n):
                 unit = tuple(1 if i == s else 0 for i in range(n))
-                lo = poset.index[d.rep_coords((k + 1, tuple(-u for u in unit)))]
-                hi = poset.index[d.rep_coords((k + 1, unit))]
+                lo = poset.index[rep_coords(d, (k + 1, tuple(-u for u in unit)))]
+                hi = poset.index[rep_coords(d, (k + 1, unit))]
                 assert (lo, hi) in long_pairs
-            lo = poset.index[d.rep_coords((k, tuple(d.omega)))]
-            hi = poset.index[d.rep_coords((k + 2, tuple(-w for w in d.omega)))]
+            lo = poset.index[rep_coords(d, (k, tuple(d.omega)))]
+            hi = poset.index[rep_coords(d, (k + 2, tuple(-w for w in d.omega)))]
             assert (lo, hi) in long_pairs
 
     # numerators read the same in both directions

@@ -7,12 +7,12 @@ import pytest
 import coxkit as ck
 from coxkit import affine
 from coxkit.affine import (
-    AffineDatum, _gram_from_norms, affine_datum, affine_slice, affine_to_obj, depth_polynomial,
+    AffineDatum, _gram_from_norms, affine_datum, affine_to_obj, depth_polynomial,
     depth_series, orbit_series, reflection_series,
 )
 from coxkit.roots import root_depth
 from coxkit.series import Polynomial, RationalSeries
-from oracles import euclid_reduce, root_orbits
+from oracles import affine_slice, euclid_reduce, rep_coords, root_orbits, slice_depths
 
 AFFINE_PRESETS = (
     ["~A%d" % n for n in range(2, 7)] + ["~B%d" % n for n in (3, 4, 5)]
@@ -136,7 +136,7 @@ def test_slices_repeat_with_shifted_depth():
     base = orbit_series(d, 0)
     s0 = affine_slice(d, 0, 0)
     s1 = affine_slice(d, 0, 1)
-    assert s0.depths == base.depths
+    assert s0.depths == slice_depths(d, 0)
     period = base.m + 1
     for (k, vec), depth in s1.depths.items():
         assert s0.depths[(k - 1, vec)] + period == depth
@@ -179,17 +179,18 @@ def test_slice_depths_are_the_greedy_descent_depths(name):
     must equal the depth of its own walk down in the affine system."""
     d = affine_datum(name)
     for i in range(len(d.orbits)):
-        depths = orbit_series(d, i).depths
+        depths = slice_depths(d, i)
         assert len(depths) == 2 * len(d.orbits[i])
         for rep, depth in depths.items():
-            assert depth == root_depth(d.system, d.rep_coords(rep)), rep
+            assert depth == root_depth(d.system, rep_coords(d, rep)), rep
 
 
 @pytest.mark.parametrize("name", AFFINE_PRESETS)
 def test_orbit_series_descends_once_per_orbit(monkeypatch, name):
     """dp(a) + dp(delta - a) is one M per orbit, so a single walk down
     fixes every depth of the slice; walking each delta - a down would
-    take one call per root."""
+    take one call per root.  A report builds each orbit's series once,
+    for its closed form and its per-orbit records alike."""
     calls = []
 
     def counted(system, coords):
@@ -202,6 +203,9 @@ def test_orbit_series_descends_once_per_orbit(monkeypatch, name):
         del calls[:]
         orbit_series(d, i)
         assert len(calls) <= 1, (name, i)
+    del calls[:]
+    affine_to_obj(d, 4)
+    assert len(calls) == len(d.orbits), name
 
 
 def test_orbit_series_needs_no_affine_poset(monkeypatch):

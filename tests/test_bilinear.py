@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import coxkit as ck
 from coxkit.affine import affine_datum
-from oracles import gram_bilinear
+from oracles import gram_bilinear, rep_coords
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -81,7 +81,7 @@ def test_crystallographic_forms_match_gram(name):
     datum = affine_datum(name)
     check_roots(datum.finite, 40)
     check_roots(datum.system, 6)
-    check_vectors(datum.system, [datum.rep_coords((1, datum.omega)), datum.omega + (2,)])
+    check_vectors(datum.system, [rep_coords(datum, (1, datum.omega)), datum.omega + (2,)])
 
 
 @st.composite

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from coxkit import cli
+from coxkit import cli, core
 from coxkit.automata import build_automaton
 from coxkit.cli import build_parser, main
 from coxkit.core import CoxeterSystem, coxeter_matrix_from_descriptor
@@ -146,6 +146,19 @@ def test_prefixes_identity_is_domain_error(capsys):
     code, _, err = run(capsys, "prefixes", "A3", "e")
     assert code == 4
     assert "error" in err
+
+
+@pytest.mark.parametrize("word, kind", [("12321", "reflection"), ("123", "123: reflection-prefix")])
+def test_prefixes_tests_the_word_once(capsys, monkeypatch, word, kind):
+    """A reflection lists its prefixes and any other word is checked as a
+    prefix; either way one job calls is_reflection once."""
+    real = core.is_reflection
+    calls = []
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "coxkit" and getattr(module, "is_reflection", None) is real:
+            monkeypatch.setattr(module, "is_reflection", lambda w: calls.append(w) or real(w))
+    code, out, _ = run(capsys, "prefixes", "A3", word)
+    assert (code, out.startswith(kind), len(calls)) == (0, True, 1)
 
 
 def test_dihedral_pinned(capsys):
@@ -292,21 +305,37 @@ def test_mem_cap_exits_3_in_a_fresh_process():
     assert err == "error: COXKIT_MAX_MEM must be an integer byte count\n"
 
 
-def test_closed_pipe_exits_141_without_a_traceback():
-    """A reader that takes one line and closes the pipe, as `head -1`
-    does.  The census goes out a line at a time, 259 KB in all, far past
-    a default 64 KiB pipe, so a later write fails, and coxkit exits
-    128 + SIGPIPE with nothing on stderr."""
-    proc = subprocess.Popen([sys.executable, "-m", "coxkit", "reflections", "~A2",
-                             "--max-length", "401"], env=_env(), stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE)
-    assert proc.stdout.readline() == b"1  length=1  palindrome=1\n"
+def _read_one_line_and_close(argv, first, **env):
+    """Run coxkit with a reader that takes one line, which must be first,
+    and closes the pipe, as `head -1` does; coxkit must exit 128 +
+    SIGPIPE with nothing on stderr."""
+    proc = subprocess.Popen([sys.executable, "-m", "coxkit", *argv], env=_env(**env),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == first
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()
     assert proc.wait(timeout=60) == 141
     assert b"Traceback" not in err
     assert err == b""
+
+
+def test_closed_pipe_exits_141_without_a_traceback():
+    """The census goes out a line at a time, 259 KB in all, far past a
+    default 64 KiB pipe, so a later write fails."""
+    _read_one_line_and_close(["reflections", "~A2", "--max-length", "401"],
+                             b"1  length=1  palindrome=1\n")
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [("roots", "U4", "--max-depth", "5", "--json"),
+                                  ("automaton", "~B3", "--json")], ids=["roots", "automaton"])
+def test_closed_pipe_exits_141_after_one_large_write(argv, unbuffered):
+    """A report written in one call, 351 KB and 110 KB here, past a 64 KiB
+    pipe: the closing reader leaves part of the write untaken, and over
+    the unbuffered binary layer of PYTHONUNBUFFERED the text layer drops
+    that part without an error unless coxkit writes it again."""
+    _read_one_line_and_close(argv, b"{\n", PYTHONUNBUFFERED=unbuffered)
 
 
 def test_output_is_deterministic(capsys):

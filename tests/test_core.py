@@ -174,18 +174,6 @@ def test_cayley_bfs_limit():
         ck.cayley_bfs(sysm, max_length=12, limit=50)
 
 
-def test_weak_order():
-    sysm = system("A3")
-    e = sysm.identity
-    w = sysm.element("121")
-    assert ck.weak_order_leq(sysm.element("1"), w)
-    assert ck.weak_order_leq(sysm.element("12"), w)
-    # 212 is the other reduced word, so 21 is below as well
-    assert ck.weak_order_leq(sysm.element("21"), w)
-    assert not ck.weak_order_leq(sysm.element("13"), w)
-    assert ck.weak_order_leq(e, w)
-
-
 def test_reflection_round_trip():
     sysm = system("B3")
     seen = 0
