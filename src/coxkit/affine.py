@@ -14,7 +14,6 @@ import re
 from fractions import Fraction
 
 from .core import CoxeterSystem, preset
-from .field import cyclotomic, divmod_monic
 from .roots import m_small_roots, root_depth, root_poset
 from .series import Polynomial, RationalSeries
 
@@ -138,7 +137,8 @@ class OrbitSeries:
         self.m = m
 
     def series(self):
-        return _lowest_terms(self.p, self.m + 1)
+        """P/(1 - q^(M + 1)), reduced by RationalSeries."""
+        return _periodic(self.p, self.m + 1)
 
     def __repr__(self):
         return "OrbitSeries(orbit=%d, M=%d)" % (self.orbit, self.m)
@@ -195,32 +195,17 @@ def _combine(data):
     return total, lcm
 
 
-def _lowest_terms(p, m):
-    """P/(1 - q^M) as a reduced RationalSeries, P a count polynomial.
-
-    1 - q^M = -prod_{d | M} Phi_d is squarefree and each cyclotomic
-    Phi_d is irreducible, so gcd(P, 1 - q^M) is the product of the Phi_d
-    that divide P, and dividing each of them out once leaves a coprime
-    pair.  Every Phi_d is monic, so the divisions stay in ints.  Phi_1 =
-    q - 1 never divides P, as P(1) > 0 counts roots, and every other
-    Phi_d(0) = 1, so den(0) stays 1: the pair is the normal form.
-    """
-    num = p.coeffs
-    den = [1] + [0] * (m - 1) + [-1]
-    for d in range(1, m + 1):
-        if m % d == 0:
-            phi = cyclotomic(d)
-            q, r = divmod_monic(num, phi)
-            if not r:
-                num, den = q, divmod_monic(den, phi)[0]
-    return RationalSeries._reduced(Polynomial(num), Polynomial(den))
+def _periodic(p, m):
+    """P/(1 - q^M) in lowest terms, by the one reduction of a series:
+    RationalSeries, on the shortest recurrence of its counts."""
+    return RationalSeries(p, Polynomial([1] + [0] * (m - 1) + [-1]))
 
 
 def _closed_forms(p, m):
-    """The depth series P/(1 - q^M) in lowest terms (_lowest_terms) and
-    the reflection series q * Phi(q^2): the reflection through a root of
+    """The depth series P/(1 - q^M) reduced by RationalSeries and the
+    reflection series q * Phi(q^2): the reflection through a root of
     depth d has length 2d + 1."""
-    phi = _lowest_terms(p, m)
+    phi = _periodic(p, m)
     return phi, phi.substitute_power(2).times_power(1)
 
 

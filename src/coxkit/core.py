@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import inf
 from operator import mul
 
 from .field import AlgebraicNumber, CyclotomicField, bond_lcm, exact, sign
@@ -127,6 +128,28 @@ def _chain(k):
 
 _NAME_RE = re.compile(r"^(~?)([A-IU])(\d+)$")
 _I2_RE = re.compile(r"^I2\((\d+|inf)\)$")
+# X_n exists for lo <= n <= hi; its bonds (i, j, m)
+_FINITE = {
+    "A": (1, inf, lambda n: _chain(n - 1)),
+    "B": (2, inf, lambda n: [(0, 1, 4)] + _chain(n - 1)[1:]),
+    "C": (2, inf, lambda n: _chain(n - 2) + [(n - 2, n - 1, 4)]),
+    "D": (4, inf, lambda n: _chain(n - 2) + [(n - 3, n - 1, 3)]),
+    "E": (6, 8, lambda n: [(0, 2, 3), (1, 3, 3)] + _chain(n - 1)[2:]),
+    "F": (4, 4, lambda n: [(0, 1, 3), (1, 2, 4), (2, 3, 3)]),
+    "G": (2, 2, lambda n: [(0, 1, 6)]),
+    "H": (3, 4, lambda n: [(0, 1, 5)] + _chain(n - 1)[1:]),
+    "U": (2, inf, lambda n: [(i, j, 0) for i in range(n) for j in range(i + 1, n)]),
+}
+# ~X_n exists for lo <= n <= the hi of X_n; the bonds (j, m) of its affine node n
+_AFFINE_NODE = {
+    "A": (2, lambda n: [(0, 3), (n - 1, 3)]),
+    "B": (3, lambda n: [(n - 2, 3)]),
+    "C": (2, lambda n: [(0, 4)]),
+    "D": (4, lambda n: [(1, 3)]),
+    "E": (6, lambda n: [({6: 1, 7: 0, 8: 7}[n], 3)]),
+    "F": (4, lambda n: [(0, 3)]),
+    "G": (2, lambda n: [(1, 3)]),
+}
 
 
 def preset(name):
@@ -135,7 +158,8 @@ def preset(name):
     Finite: A1.., B2.., C2.., D4.., E6 E7 E8, F4, G2, H3 H4, I2(m)
     (I2(inf) or I2(0) for the infinite bond), and the universal UN with
     every bond infinite.  Affine: ~A2.., ~B3.., ~C2.., ~D4.., ~E6 ~E7
-    ~E8, ~F4, ~G2; the affine node is listed last.
+    ~E8, ~F4, ~G2; ~X_n is the diagram of X_n with the affine node joined
+    to it as the last node, n.
     """
     name = name.strip().replace(" ", "")
     m = _I2_RE.match(name)
@@ -148,68 +172,16 @@ def preset(name):
     if not m:
         raise ValueError("unknown type %r" % name)
     affine, letter, n = m.group(1) == "~", m.group(2), int(m.group(3))
-
-    def need(cond):
-        if not cond:
-            raise ValueError("no type named %r" % name)
-
-    if not affine:
-        if letter == "A":
-            need(n >= 1)
-            return _bonds_matrix(n, _chain(n - 1))
-        if letter == "B":
-            need(n >= 2)
-            return _bonds_matrix(n, [(0, 1, 4)] + _chain(n - 1)[1:])
-        if letter == "C":
-            need(n >= 2)
-            return _bonds_matrix(n, _chain(n - 2) + [(n - 2, n - 1, 4)])
-        if letter == "D":
-            need(n >= 4)
-            return _bonds_matrix(n, _chain(n - 2) + [(n - 3, n - 1, 3)])
-        if letter == "E":
-            need(n in (6, 7, 8))
-            bonds = [(0, 2, 3), (2, 3, 3), (3, 4, 3), (4, 5, 3), (1, 3, 3)]
-            bonds += [(4 + k, 5 + k, 3) for k in range(1, n - 5)]
-            return _bonds_matrix(n, bonds)
-        if letter == "F":
-            need(n == 4)
-            return _bonds_matrix(4, [(0, 1, 3), (1, 2, 4), (2, 3, 3)])
-        if letter == "G":
-            need(n == 2)
-            return _bonds_matrix(2, [(0, 1, 6)])
-        if letter == "H":
-            need(n in (3, 4))
-            return _bonds_matrix(n, [(0, 1, 5)] + _chain(n - 1)[1:])
-        if letter == "U":
-            need(n >= 2)
-            return _bonds_matrix(n, [(i, j, 0) for i in range(n) for j in range(i + 1, n)])
+    if letter not in (_AFFINE_NODE if affine else _FINITE):
         raise ValueError("unknown type %r" % name)
-
-    if letter == "A":
-        need(n >= 2)
-        return _bonds_matrix(n + 1, _chain(n) + [(n, 0, 3)])
-    if letter == "B":
-        need(n >= 3)
-        return _bonds_matrix(n + 1, [(0, 1, 4)] + _chain(n - 1)[1:] + [(n, n - 2, 3)])
-    if letter == "C":
-        need(n >= 2)
-        return _bonds_matrix(n + 1, _chain(n - 2) + [(n - 2, n - 1, 4), (n, 0, 4)])
-    if letter == "D":
-        need(n >= 4)
-        return _bonds_matrix(n + 1, _chain(n - 2) + [(n - 3, n - 1, 3), (n, 1, 3)])
-    if letter == "E":
-        need(n in (6, 7, 8))
-        bonds = [(0, 2, 3), (2, 3, 3), (3, 4, 3), (4, 5, 3), (1, 3, 3)]
-        bonds += [(4 + k, 5 + k, 3) for k in range(1, n - 5)]
-        bonds.append({6: (6, 1, 3), 7: (7, 0, 3), 8: (8, 7, 3)}[n])
-        return _bonds_matrix(n + 1, bonds)
-    if letter == "F":
-        need(n == 4)
-        return _bonds_matrix(5, [(0, 1, 3), (1, 2, 4), (2, 3, 3), (4, 0, 3)])
-    if letter == "G":
-        need(n == 2)
-        return _bonds_matrix(3, [(0, 1, 6), (2, 1, 3)])
-    raise ValueError("unknown type %r" % name)
+    lo, hi, bonds = _FINITE[letter]
+    if affine:
+        lo, node = _AFFINE_NODE[letter]
+    if not lo <= n <= hi:
+        raise ValueError("no type named %r" % name)
+    if not affine:
+        return _bonds_matrix(n, bonds(n))
+    return _bonds_matrix(n + 1, bonds(n) + [(n, j, v) for j, v in node(n)])
 
 
 def coxeter_matrix_from_descriptor(text):
@@ -451,18 +423,10 @@ class CoxeterSystem:
             _check_field_degree(L)
             field = CyclotomicField(L)
             n = matrix.rank
-            g = []
-            for i in range(n):
-                row = [g[j][i] for j in range(i)] + [field.one]
-                for j in range(i + 1, n):
-                    mij = matrix.entry(i, j)
-                    if mij == 0:
-                        row.append(field.from_rational(-1))
-                    elif mij == 2:
-                        row.append(field.zero)
-                    else:
-                        row.append(-field.cos_pi_over(mij))
-                g.append(row)
+            # 1 on the diagonal (m = 1), -1 for an infinite bond (m = 0), else -cos(pi/m)
+            value = {m: field.one if m == 1 else -field.one if m == 0
+                     else -field.cos_pi_over(m) for m in set().union(*matrix.entries)}
+            g = [[value[m] for m in row] for row in matrix.entries]
             if field.degree == 1:
                 g = [[Fraction(x.rational()) for x in row] for row in g]
             self.mode = "unitary"

@@ -133,11 +133,6 @@ def _chebyshev_cs():
         prev, cur = cur, _poly_trim(nxt) or [0]
 
 
-def chebyshev_c(k):
-    """Integer coefficients of C_k with C_k(2cos x) = 2cos(kx)."""
-    return next(islice(_chebyshev_cs(), k, None))
-
-
 def _minpoly_from_cyclotomic(L):
     """Minimal polynomial of 2cos(pi/L), via Phi_2L(x) = x^m Psi(x + 1/x)."""
     phi = cyclotomic(2 * L)
@@ -263,7 +258,8 @@ class CyclotomicField:
             return self.from_rational(0)
         if m < 1 or self.L % m:
             raise ValueError(f"bond {m} does not divide L = {self.L}")
-        _, double = divmod_monic(chebyshev_c(self.L // m), self.minpoly)  # 2cos(pi/m)
+        k = self.L // m  # C_k(2cos(pi/L)) = 2cos(pi/m)
+        _, double = divmod_monic(next(islice(_chebyshev_cs(), k, None)), self.minpoly)
         double += [0] * (self.degree - len(double))
         return AlgebraicNumber(self, tuple(exact(Fraction(c, 2)) for c in double))
 

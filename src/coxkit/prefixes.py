@@ -24,7 +24,7 @@ Non-reflections, and the identity in the prefix test, raise `core.DomainError`.
 from .core import DomainError, GroupElement, LimitExceeded, _left_mul_gen, _right_mul_gen, \
     _shortlex_word, format_word, is_reflection
 from .field import sign
-from .roots import _close_up, _descend, _simple_index, root_depth, root_poset
+from .roots import _close_up, _descend, _simple_index, root_poset
 
 
 class ReflectionPrefix:
@@ -109,7 +109,7 @@ def prefixes_of(system, t, limit=None):
     stripped to its normal form once, at the end.
     """
     root = _reflection_root(system, t)
-    dp = root_depth(system, root)
+    dp = t.length // 2  # l(t) = 2 dp(a_t) + 1
     covers = {}
     leaves = {}
     idr = system._id_rows

@@ -5,8 +5,7 @@ integers, and by Fatou's lemma its reduced form is num/den with num and
 den in Z[q] and den(0) = 1.  Polynomials hold int coefficients, lowest
 degree first.  A rational series has one reduction: the shortest linear
 recurrence of its first terms (Berlekamp-Massey), which gives den, with
-num the terms times den cut below the recurrence length.  (The affine
-closed forms reach the same normal form by dividing out cyclotomics.)
+num the terms times den cut below the recurrence length.
 """
 
 import math

@@ -18,9 +18,7 @@ from coxkit.affine import (
 from coxkit.automata import accepts, build_automaton, low_elements
 from coxkit.core import cayley_bfs
 from coxkit.roots import dominance_set as root_dominance_set
-from coxkit.series import (
-    Polynomial, RationalSeries, dfa_series, pal_series,
-)
+from coxkit.series import dfa_series, pal_series
 from oracles import (
     affine_slice, is_prefix_brute, palindrome_counts, prefix_word_brute, reduced_word_trie,
     reflection_census, rep_coords,

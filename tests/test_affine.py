@@ -227,7 +227,7 @@ def test_report_reduces_the_depth_series_once(monkeypatch):
 
     monkeypatch.setattr(RationalSeries, "__init__", counted)
     obj = affine_to_obj(affine_datum("~F4"), 8)
-    assert len(calls) == 0
+    assert len(calls) == 1
     assert obj["depth_period"] == 88
 
 
@@ -239,8 +239,8 @@ CLOSED_FORM_PRESETS = (
 
 
 def test_cyclotomic_reduction_matches_general_euclid():
-    """Dividing out the Phi_d, d | M, that divide P gives the normal form
-    plain Euclid (oracles.euclid_reduce) gives for P/(1 - q^M), orbit by
+    """The closed forms reduce P/(1 - q^M), a quotient by cyclotomics, to
+    the normal form plain Euclid (oracles.euclid_reduce) gives, orbit by
     orbit and for the combined depth and reflection series."""
 
     def pair(s):

@@ -216,15 +216,43 @@ def test_custom_gram_mode():
     assert w.length == 4
 
 
+def _preset_error(name):
+    with pytest.raises(ValueError) as info:
+        ck.preset(name)
+    assert type(info.value) is ValueError
+    return str(info.value)
+
+
 def test_unknown_preset():
-    with pytest.raises(ValueError):
-        ck.preset("Z9")
+    for name in ("Z9", "I5", "~H3", "~U3", "~I2(5)"):
+        assert _preset_error(name) == "unknown type %r" % name
+
+
+def test_preset_of_a_rank_the_type_lacks():
+    for name in ("A0", "D3", "E9", "~A1", "~B2", "~F5"):
+        assert _preset_error(name) == "no type named %r" % name
 
 
 FINITE_PRESETS = ("A1", "A4", "B3", "C4", "D5", "E6", "E7", "E8", "F4", "G2",
                   "H3", "H4", "I2(5)", "I2(inf)", "U3", "U4")
 AFFINE_PRESETS = ("~A2", "~A4", "~B3", "~B4", "~C2", "~C3", "~D4", "~D5", "~E6",
                   "~E7", "~E8", "~F4", "~G2")
+
+
+@pytest.mark.parametrize("name", AFFINE_PRESETS)
+def test_affine_diagram_extends_the_finite_one(name):
+    """~X_n is the X_n diagram with one last node n, the node of
+    delta - omega: it is joined to a_i exactly when B(omega, a_i) != 0,
+    omega the highest root of X_n."""
+    aff, fin = ck.preset(name), ck.preset(name[1:])
+    n = fin.rank
+    assert aff.rank == n + 1
+    assert tuple(row[:n] for row in aff.entries[:n]) == fin.entries
+    d = affine_datum(name)
+    joined = [d.finite.bilinear(d.omega, d.finite.simple_root(i)) != 0 for i in range(n)]
+    assert [aff.entry(n, i) != 2 for i in range(n)] == joined
+
+
 # bonds 4, 5 and 6 need Q(2cos(pi/60)), a field of degree 16
 HYPERBOLIC_16 = [[1, 4, 5], [4, 1, 6], [5, 6, 1]]
 

@@ -6,6 +6,7 @@ import random
 import pytest
 
 import coxkit as ck
+from coxkit import roots
 from coxkit.cli import main
 from coxkit.prefixes import _palindrome
 from coxkit.roots import _descend
@@ -129,10 +130,16 @@ def test_prefixes_of_matches_brute_force(name, max_length):
             assert pre.element == w and pre.element.inv_rows == w.inv_rows
 
 
-def test_prefixes_of_rejects_non_reflections():
-    sysm = system("A3")
-    with pytest.raises(ValueError):
-        ck.prefixes_of(sysm, sysm.element("12"))
+def test_prefixes_of_makes_no_descent(monkeypatch):
+    """dp(a_t) is read off l(t) = 2 dp + 1, with no greedy descent."""
+
+    def refuse(*args):
+        raise AssertionError("prefixes_of walked a root down")
+
+    monkeypatch.setattr(roots, "_descend", refuse)
+    sysm = system("B3")
+    t = sysm.element("2123212")
+    assert [pre.element.word for pre in ck.prefixes_of(sysm, t)] == [(1, 0, 1, 2), (1, 0, 2, 1)]
 
 
 def _random_matrix(seed):
