@@ -172,23 +172,21 @@ def cmd_automaton(args, out):
 def cmd_reflections(args, out):
     system = _system(args.spec)
     rows = reflections_up_to(system, args.max_length, limit=args.max_roots)
+    obj = [
+        {
+            "word": format_word(t.word, system.rank),
+            "length": t.length,
+            "palindrome": format_word(pal, system.rank),
+        }
+        for t, pal in rows
+    ]
     if args.json:
-        obj = [
-            {
-                "word": format_word(t.word, system.rank),
-                "length": t.length,
-                "palindrome": format_word(pal, system.rank),
-            }
-            for t, pal in rows
-        ]
         out.write(_json(obj) + "\n")
         return 0
     counts = {}
-    for t, pal in rows:
-        counts[t.length] = counts.get(t.length, 0) + 1
-        out.write("%s  length=%d  palindrome=%s\n"
-                  % (format_word(t.word, system.rank), t.length,
-                     format_word(pal, system.rank)))
+    for row in obj:
+        counts[row["length"]] = counts.get(row["length"], 0) + 1
+        out.write("%(word)s  length=%(length)d  palindrome=%(palindrome)s\n" % row)
     census = " ".join("%d:%d" % (k, counts[k]) for k in sorted(counts))
     out.write("census by length: %s\n" % (census if census else "-"))
     return 0
@@ -203,34 +201,27 @@ def cmd_prefixes(args, out):
         prefs = None
     if prefs is not None:
         # the first prefix is the one the greedy descent spells
-        pal = _palindrome(prefs[0].element.word)
-        if args.json:
-            obj = {
-                "reflection": format_word(w.word, system.rank),
-                "palindrome": format_word(pal, system.rank),
-                "prefixes": [format_word(p.element.word, system.rank) for p in prefs],
-            }
-            out.write(_json(obj) + "\n")
-            return 0
-        out.write("reflection %s, palindromic word %s\n"
-                  % (format_word(w.word, system.rank), format_word(pal, system.rank)))
-        for p in prefs:
-            out.write("  prefix %s\n" % format_word(p.element.word, system.rank))
-        out.write("%d prefixes\n" % len(prefs))
-        return 0
-    pref = is_reflection_prefix(system, w)
-    if args.json:
+        obj = {
+            "reflection": format_word(w.word, system.rank),
+            "palindrome": format_word(_palindrome(prefs[0].element.word), system.rank),
+            "prefixes": [format_word(p.element.word, system.rank) for p in prefs],
+        }
+    else:
+        pref = is_reflection_prefix(system, w)
         obj = {"word": format_word(w.word, system.rank), "is_prefix": pref is not None}
         if pref is not None:
             obj["reflection"] = format_word(pref.reflection.word, system.rank)
+    if args.json:
         out.write(_json(obj) + "\n")
-        return 0
-    if pref is None:
-        out.write("%s: not a reflection-prefix\n" % format_word(w.word, system.rank))
+    elif prefs is not None:
+        out.write("reflection %(reflection)s, palindromic word %(palindrome)s\n" % obj)
+        for p in obj["prefixes"]:
+            out.write("  prefix %s\n" % p)
+        out.write("%d prefixes\n" % len(obj["prefixes"]))
+    elif obj["is_prefix"]:
+        out.write("%(word)s: reflection-prefix of %(reflection)s\n" % obj)
     else:
-        out.write("%s: reflection-prefix of %s\n"
-                  % (format_word(w.word, system.rank),
-                     format_word(pref.reflection.word, system.rank)))
+        out.write("%(word)s: not a reflection-prefix\n" % obj)
     return 0
 
 
@@ -239,18 +230,16 @@ def cmd_dihedral(args, out):
     r = system.element(parse_word(args.word_r, system.rank))
     t = system.element(parse_word(args.word_t, system.rank))
     sub = canonical_generators(system, r, t)
-    c1, c2 = sub.canonical
+    obj = {
+        "generators": [format_word(w.word, system.rank) for w in (r, t)],
+        "canonical": [format_word(c.word, system.rank) for c in sub.canonical],
+        "order_m": sub.order_m,
+    }
     if args.json:
-        obj = {
-            "generators": [format_word(w.word, system.rank) for w in (r, t)],
-            "canonical": [format_word(c.word, system.rank) for c in (c1, c2)],
-            "order_m": sub.order_m,
-        }
         out.write(_json(obj) + "\n")
         return 0
-    m = sub.order_m if sub.order_m else "infinite-or-large"
     out.write("canonical generators: {%s, %s}, m = %s\n"
-              % (format_word(c1.word, system.rank), format_word(c2.word, system.rank), m))
+              % (*obj["canonical"], obj["order_m"] or "infinite-or-large"))
     return 0
 
 

@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import inf
 from operator import mul
 
-from .field import AlgebraicNumber, CyclotomicField, bond_lcm, exact, sign
+from .field import AlgebraicNumber, CyclotomicField, _primes, bond_lcm, exact, sign
 
 
 class LimitExceeded(RuntimeError):
@@ -42,24 +42,17 @@ class DomainError(ValueError):
 
 def _check_field_degree(L):
     """Raise LimitExceeded when Q(2cos(pi/L)), of degree phi(2L)/2, has
-    degree over cap = 1024; its reduction table alone holds about
-    degree^2 entries.  phi(2L) <= L passes L <= 2 cap at once, and
-    phi(n) >= sqrt(n/2) refuses L > 4 cap^2 without factoring.
+    degree over cap = 1024; a product there takes about degree^2 steps.
+    phi(2L) <= L passes L <= 2 cap at once, and phi(n) >= sqrt(n/2)
+    refuses L > 4 cap^2 without factoring.
     """
     cap = 1024
     if L <= 2 * cap:
         return
     if L <= 4 * cap * cap:
-        n = phi = 2 * L
-        p = 2
-        while p * p <= n:
-            if n % p == 0:
-                phi -= phi // p
-                while n % p == 0:
-                    n //= p
-            p += 1
-        if n > 1:
-            phi -= phi // n
+        phi = 2 * L
+        for p in _primes(2 * L):
+            phi -= phi // p
         if phi // 2 <= cap:
             return
     raise LimitExceeded("the field Q(2cos(pi/%d)) has degree over %d" % (L, cap))

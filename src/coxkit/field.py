@@ -81,41 +81,39 @@ def _poly_divmod(a, b):
     return _poly_trim([c / lead for c in q]), r
 
 
-def _mobius(n):
-    mu, p = 1, 2
+def _primes(n):
+    """The distinct primes of n >= 1, increasing, by trial division."""
+    primes, p = [], 2
     while p * p <= n:
         if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            mu = -mu
+            primes.append(p)
+            while n % p == 0:
+                n //= p
         p += 1
-    return -mu if n > 1 else mu
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
+def _in_power(a, k):
+    """The coefficients (lowest-first) of a(x^k), for k >= 1."""
+    out = [0] * (k * len(a) - k + 1)
+    out[::k] = a
+    return out
 
 
 def cyclotomic(n):
     """Integer coefficients (lowest-first) of the n-th cyclotomic polynomial.
 
-    Phi_n = prod_{d | n} (x^d - 1)^mu(n/d): the factors with mu = 1 are
-    multiplied out, then those with mu = -1 divided out exactly.
+    From Phi_1 = x - 1, two identities: Phi_mp(x) = Phi_m(x^p) / Phi_m(x)
+    for a prime p that does not divide m, over the primes of n, gives
+    Phi_r for r the product of n's primes; then Phi_n(x) = Phi_r(x^(n/r)).
     """
-    num, dens = [1], []
-    for d in range(1, n + 1):
-        if n % d:
-            continue
-        mu = _mobius(n // d)
-        if mu == 1:
-            prod = [0] * d + num
-            for i, c in enumerate(num):
-                prod[i] -= c
-            num = prod
-        elif mu == -1:
-            dens.append(d)
-    for d in dens:
-        num, r = divmod_monic(num, [-1] + [0] * (d - 1) + [1])
-        if r:
-            raise ArithmeticError("cyclotomic division not exact")
-    return num
+    phi, r = [-1, 1], 1
+    for p in _primes(n):
+        phi = divmod_monic(_in_power(phi, p), phi)[0]  # exact, by the identity
+        r *= p
+    return _in_power(phi, n // r)
 
 
 def _chebyshev_cs():
@@ -173,8 +171,8 @@ def _dyadic_eval(poly, lo, hi, k):
 class CyclotomicField:
     """The field Q(theta), theta = 2cos(pi/L), with exact sign determination.
 
-    The minimal polynomial, the reduction table, zero, one and theta all
-    have int coefficients.  theta is kept in a dyadic isolating interval
+    The minimal polynomial, zero, one and theta all have int
+    coefficients.  theta is kept in a dyadic isolating interval
     [lo/2^k, hi/2^k], stored as the ints (lo, hi, k).
     """
 
@@ -195,7 +193,8 @@ class CyclotomicField:
             self.minpoly = tuple(mp)
             self.degree = len(mp) - 1
             self._theta = self._isolate_largest_root()
-        self._reduction = self._reduction_table()
+        # x^degree = sum of c * x^i over these (i, c), mod minpoly
+        self._tail = tuple((i, -c) for i, c in enumerate(self.minpoly[:-1]) if c)
         self.zero = AlgebraicNumber(self, (0,) * self.degree)
         self.one = self.from_rational(1)
         theta_coeffs = [0] * self.degree
@@ -218,22 +217,6 @@ class CyclotomicField:
         """
         j = (self.L * self.L // 10).bit_length() - 1
         return 2 ** (j + 1) - 1, 2 ** (j + 1), j
-
-    def _reduction_table(self):
-        """x^k mod minpoly for k = degree .. 2*degree-2, as sparse rows of
-        (index, coefficient) pairs."""
-        d = self.degree
-        rows = []
-        cur = [-c for c in self.minpoly[:-1]]  # x^d mod minpoly
-        rows.append(list(cur))
-        for _ in range(d + 1, 2 * d - 1):
-            cur = [0] + cur
-            top = cur.pop()
-            if top:
-                for i in range(d):
-                    cur[i] -= top * self.minpoly[i]
-            rows.append(list(cur))
-        return [tuple((i, c) for i, c in enumerate(row) if c) for row in rows]
 
     def refine_theta(self):
         """Halve the isolating interval once (sign change pinned on minpoly)."""
@@ -259,8 +242,7 @@ class CyclotomicField:
         if m < 1 or self.L % m:
             raise ValueError(f"bond {m} does not divide L = {self.L}")
         k = self.L // m  # C_k(2cos(pi/L)) = 2cos(pi/m)
-        _, double = divmod_monic(next(islice(_chebyshev_cs(), k, None)), self.minpoly)
-        double += [0] * (self.degree - len(double))
+        double = self._reduce(next(islice(_chebyshev_cs(), k, None))).coeffs
         return AlgebraicNumber(self, tuple(exact(Fraction(c, 2)) for c in double))
 
     def dot(self, xs, ys):
@@ -275,18 +257,18 @@ class CyclotomicField:
         return self._reduce(prod)
 
     def _reduce(self, coeffs):
-        """Reduce at most 2*degree - 1 coefficients, as many as a product of
-        two reduced elements has, mod minpoly through the table."""
+        """The element of any number of coefficients (lowest-first), reduced
+        mod minpoly by long division by its nonzero tail."""
         d = self.degree
         n = len(coeffs)
         if n <= d:
             return AlgebraicNumber(self, tuple(coeffs) + (0,) * (d - n))
         coeffs = list(coeffs)
-        for k in range(n - 1, d - 1, -1):
-            c = coeffs[k]
+        for k in range(n - d - 1, -1, -1):
+            c = coeffs[k + d]  # x^(k + d) = x^k times the tail
             if c:
-                for i, r in self._reduction[k - d]:
-                    coeffs[i] += c * r
+                for i, r in self._tail:
+                    coeffs[k + i] += c * r
         return AlgebraicNumber(self, tuple(coeffs[:d]))
 
     def __repr__(self):

@@ -14,7 +14,7 @@ from operator import index, mul
 
 from .automata import _count_words, lump
 from .core import LimitExceeded
-from .field import _poly_mul_into, _poly_trim
+from .field import _in_power, _poly_mul_into, _poly_trim
 
 
 class Polynomial:
@@ -75,9 +75,7 @@ class Polynomial:
         """The polynomial in q^k, k >= 1."""
         if k < 1:
             raise ValueError("substitute_power needs k >= 1, got %d" % (k,))
-        out = [0] * (k * len(self.coeffs))
-        out[::k] = self.coeffs
-        return Polynomial(out)
+        return Polynomial(_in_power(self.coeffs, k))
 
     def shifted(self, j):
         """Multiplication by q^j; negative j must divide exactly."""

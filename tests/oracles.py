@@ -314,6 +314,59 @@ def euclid_reduce(num, den):
     return [c / den[0] for c in num], [c / den[0] for c in den]
 
 
+def mobius(n):
+    """The Moebius function of n >= 1, by trial division."""
+    mu, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return -mu if n > 1 else mu
+
+
+def cyclotomic_by_mobius(n):
+    """Phi_n = prod over d | n of (x^d - 1)^mu(n/d), lowest-first: the
+    factors with mu = 1 multiplied out, then those with mu = -1 divided
+    out, each by long division by x^d - 1."""
+    num, dens = [1], []
+    for d in range(1, n + 1):
+        if n % d:
+            continue
+        mu = mobius(n // d)
+        if mu == 1:
+            prod = [0] * d + num
+            for i, c in enumerate(num):
+                prod[i] -= c
+            num = prod
+        elif mu == -1:
+            dens.append(d)
+    for d in dens:
+        quo = [0] * (len(num) - d)
+        for i in range(len(quo) - 1, -1, -1):
+            quo[i] = num[i + d]  # take quo[i] * x^i * (x^d - 1) off num
+            num[i] += num[i + d]
+        assert not any(num[:d])
+        num = quo
+    return num
+
+
+def euler_phi(n):
+    """Euler's phi of n >= 1, by trial division."""
+    phi, p = n, 2
+    while p * p <= n:
+        if n % p == 0:
+            phi -= phi // p
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        phi -= phi // n
+    return phi
+
+
 def sturm_chain(poly):
     """Sturm chain of a squarefree polynomial: poly, poly', then the
     negated remainders.  Each member is the classical one times a

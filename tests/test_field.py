@@ -7,8 +7,10 @@ from fractions import Fraction
 import pytest
 
 import coxkit as ck
-from coxkit.field import CyclotomicField, _dyadic_eval, _poly_divmod, bond_lcm
-from oracles import horner, sturm_chain, sturm_count
+from coxkit.core import LimitExceeded, _check_field_degree
+from coxkit.field import CyclotomicField, _dyadic_eval, _poly_divmod, bond_lcm, cyclotomic, \
+    divmod_monic
+from oracles import cyclotomic_by_mobius, euler_phi, horner, sturm_chain, sturm_count
 
 
 def _theta_interval(f):
@@ -111,11 +113,44 @@ def test_field_tables_have_int_coefficients():
     for L in (1, 2, 3, 4, 5, 7, 12, 60):
         f = CyclotomicField(L)
         assert all(type(c) is int for c in f.minpoly)
-        for row in f._reduction:
-            assert all(type(c) is int for _, c in row)
+        assert all(type(c) is int for _, c in f._tail)
         for x in (f.zero, f.one, f.theta, f.from_rational(Fraction(6, 3))):
             assert all(type(c) is int for c in x.coeffs)
     assert CyclotomicField(60).degree == 16
+
+
+def test_cyclotomic_matches_the_mobius_formula():
+    for n in range(1, 601):
+        assert cyclotomic(n) == cyclotomic_by_mobius(n), n
+
+
+@pytest.mark.parametrize("L", [4, 5, 7, 12, 15, 35, 60])
+def test_reduce_of_any_length_is_the_remainder_mod_minpoly(L):
+    """cos_pi_over reduces C_(L/m)(theta), whose length no product
+    bounds, so lengths run past 2*degree - 1, up to 3*degree."""
+    f = CyclotomicField(L)
+    d = f.degree
+    rng = random.Random(L)
+    for n in range(d, 3 * d + 1):
+        for _ in range(5):
+            xs = [rng.randint(-99, 99) for _ in range(n)]
+            _, rem = divmod_monic(xs, f.minpoly)
+            got = f._reduce(xs).coeffs
+            assert got == tuple(rem) + (0,) * (d - len(rem)), (L, xs)
+            assert all(type(c) is int for c in got)
+
+
+def test_field_degree_cap_is_half_of_phi_2L():
+    """The guard accepts exactly the L with phi(2L)/2 <= 1024; past
+    4*1024^2 it refuses without factoring."""
+    for L in [*range(1, 3001), 4 * 1024 ** 2, 4 * 1024 ** 2 + 1]:
+        try:
+            _check_field_degree(L)
+            accepted = True
+        except LimitExceeded as exc:
+            assert str(exc) == "the field Q(2cos(pi/%d)) has degree over 1024" % L
+            accepted = False
+        assert accepted == (euler_phi(2 * L) // 2 <= 1024), L
 
 
 def test_inverse_and_division_stay_exact():
