@@ -10,15 +10,11 @@ periodic orbit by orbit, so it collapses to an exact rational function.
 """
 
 import math
-import re
 from fractions import Fraction
 
-from .core import CoxeterSystem, preset
+from .core import _AFFINE_NODE, _NAME_RE, CoxeterSystem, preset
 from .roots import m_small_roots, root_depth, root_poset
 from .series import Polynomial, RationalSeries
-
-_NAME_RE = re.compile(r"^~([A-G])(\d+)$")
-
 
 def _norm_vector(letter, n):
     if letter in "ADE":
@@ -74,9 +70,9 @@ class AffineDatum:
 def affine_datum(name):
     """Construct the datum for an affine type name like '~B3'."""
     m = _NAME_RE.match(name.strip().replace(" ", ""))
-    if not m:
+    if not m or not m.group(1) or m.group(2) not in _AFFINE_NODE:
         raise ValueError("not an affine type name: %r" % name)
-    letter, n = m.group(1), int(m.group(2))
+    letter, n = m.group(2), int(m.group(3))
     aff_matrix = preset(name)
     fin_matrix = preset(letter + str(n))
     norms = _norm_vector(letter, n)
@@ -201,22 +197,16 @@ def _periodic(p, m):
     return RationalSeries(p, Polynomial([1] + [0] * (m - 1) + [-1]))
 
 
-def _closed_forms(p, m):
-    """The depth series P/(1 - q^M) reduced by RationalSeries and the
-    reflection series q * Phi(q^2): the reflection through a root of
-    depth d has length 2d + 1."""
-    phi = _periodic(p, m)
-    return phi, phi.substitute_power(2).times_power(1)
-
-
 def depth_series(datum):
     """sum(q^dp) over all positive affine roots, reduced."""
-    return _closed_forms(*depth_polynomial(datum))[0]
+    return _periodic(*depth_polynomial(datum))
 
 
 def reflection_series(datum):
-    """Length generating series of the reflections: q * Phi(q^2)."""
-    return _closed_forms(*depth_polynomial(datum))[1]
+    """Length generating series of the reflections, q * Phi(q^2) for the
+    depth series Phi: the reflection through a root of depth d has
+    length 2d + 1."""
+    return depth_series(datum).substitute_power(2).times_power(1)
 
 
 def affine_to_obj(datum, terms=None):
@@ -224,7 +214,7 @@ def affine_to_obj(datum, terms=None):
     the reflection series."""
     data = [orbit_series(datum, i) for i in range(len(datum.orbits))]
     p, m = _combine(data)
-    phi, refl = _closed_forms(p, m)
+    phi = _periodic(p, m)
     orbits = [{
         "orbit": d.orbit + 1,
         "size": len(datum.orbits[d.orbit]),
@@ -240,6 +230,6 @@ def affine_to_obj(datum, terms=None):
         "depth_numerator": [str(c) for c in p.coeffs],
         "depth_period": m,
         "depth_series": phi.to_obj(terms),
-        "reflection_series": refl.to_obj(terms),
+        "reflection_series": phi.substitute_power(2).times_power(1).to_obj(terms),
     }
     return obj

@@ -17,6 +17,9 @@ read off the table's layers (`low_elements`).
 from .core import GroupElement, LimitExceeded, _left_mul_gen, _right_mul_gen
 from .roots import root_poset
 
+# the automaton kinds: reduced words, and reduced words of reflection prefixes
+KINDS = ("red", "pref")
+
 
 class Dfa:
     """Deterministic automaton over the generators of one system.
@@ -84,8 +87,8 @@ def build_automaton(system, m, kind="red", limit=None):
     Raises LimitExceeded once more than `limit` m-small roots, or more
     than `limit` states, are found.
     """
-    if kind not in ("red", "pref"):
-        raise ValueError("kind must be 'red' or 'pref'")
+    if kind not in KINDS:
+        raise ValueError("kind must be %s" % " or ".join(map(repr, KINDS)))
     poset = root_poset(system, msmall=m, limit=limit)
     rank = system.rank
     for s in range(rank):

@@ -21,7 +21,7 @@ import sys
 from json.encoder import encode_basestring_ascii
 
 from .affine import affine_datum, affine_to_obj
-from .automata import build_automaton, dfa_to_dot, dfa_to_obj
+from .automata import KINDS, build_automaton, dfa_to_dot, dfa_to_obj
 from .core import CoxeterSystem, DomainError, LimitExceeded, \
     coxeter_matrix_from_descriptor, format_word, parse_word
 from .dihedral import canonical_generators
@@ -285,7 +285,7 @@ def build_parser():
     p = subs.add_parser("automaton", help="canonical m-automaton")
     p.add_argument("spec")
     p.add_argument("--m", type=_count, default=0)
-    p.add_argument("--kind", choices=("red", "pref"), default="red")
+    p.add_argument("--kind", choices=KINDS, default="red")
     p.add_argument("--dot", metavar="FILE")
     p.add_argument("--series", action="store_true",
                    help="exact generating series of the language")

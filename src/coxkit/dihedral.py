@@ -57,7 +57,7 @@ class DihedralSubgroup:
             list(self.canonical), self.order_m or "inf")
 
 
-def _positive(system, v):
+def _positive(v):
     for x in v:
         if x != 0:
             return v if x > 0 else tuple(-y for y in v)
@@ -90,7 +90,7 @@ def _subgroup_roots(system, ar, at, cap):
             if not finite and d > cap and low is not None and d > low:
                 break
             found[cur] = low = d
-            prev, cur = cur, _positive(system, _reflect_in(system, prev, cur, ncur))
+            prev, cur = cur, _positive(_reflect_in(system, prev, cur, ncur))
             nprev, ncur = ncur, nprev
     return finite, found
 

@@ -24,7 +24,7 @@ Non-reflections, and the identity in the prefix test, raise `core.DomainError`.
 from .core import DomainError, GroupElement, LimitExceeded, _left_mul_gen, _right_mul_gen, \
     _shortlex_word, format_word, is_reflection
 from .field import sign
-from .roots import _close_up, _descend, _simple_index, root_poset
+from .roots import _close_up, _descend, _lower_covers, _simple_index, root_poset
 
 
 class ReflectionPrefix:
@@ -98,13 +98,13 @@ def prefixes_of(system, t, limit=None):
 
     The walk starts at the root of t and visits only the roots below it:
     the lower covers of a non-simple root b are the s(b) = b - c a_s with
-    c = pairing(b, s) > 0, each one less deep, and the chains end at the
-    simple roots.  limit caps the distinct roots visited.  A state of
-    the walk is a root with the element spelled by the chain letters
-    above it.  Two chains that reach one root with one element
-    go on alike, so each state is expanded once, and the walk grows with
-    the states, not with the chains, whose number can grow exponentially
-    with the depth.  A state carries the element's matrix and inverse,
+    c = pairing(b, s) > 0 (`roots._lower_covers`), each one less deep,
+    and the chains end at the simple roots.  limit caps the distinct
+    roots visited.  A state of the walk is a root with the element
+    spelled by the chain letters above it.  Two chains that reach one
+    root with one element go on alike, so each state is expanded once,
+    and the walk grows with the states, not with the chains, whose
+    number can grow exponentially with the depth.  A state carries the element's matrix and inverse,
     one generator product each per step, and each distinct prefix is
     stripped to its normal form once, at the end.
     """
@@ -117,18 +117,19 @@ def prefixes_of(system, t, limit=None):
     seen = set()
     while stack:
         b, rows, inv = stack.pop()
-        downs = covers.get(b)
-        if downs is None:
+        entry = covers.get(b)
+        if entry is None:
             if limit is not None and len(covers) >= limit:
                 raise LimitExceeded("root enumeration exceeded %d" % limit)
-            downs = covers[b] = _lower_covers(system, b)
-        if not downs:
-            s = _simple_index(system, b)
-            rows = _right_mul_gen(system, rows, s)
+            r = _simple_index(system, b)
+            entry = covers[b] = (r, tuple(_lower_covers(system, b)) if r is None else ())
+        r, downs = entry
+        if r is not None:
+            rows = _right_mul_gen(system, rows, r)
             if rows not in leaves:
-                leaves[rows] = (_left_mul_gen(system, inv, s), s)
+                leaves[rows] = (_left_mul_gen(system, inv, r), r)
             continue
-        for s, lo in downs:
+        for s, _, lo in downs:
             head = _right_mul_gen(system, rows, s)
             if (lo, head) not in seen:
                 seen.add((lo, head))
@@ -140,15 +141,6 @@ def prefixes_of(system, t, limit=None):
             raise ArithmeticError("chain word for a prefix is not reduced")
         out.append(ReflectionPrefix(p, t, root, s))
     return sorted(out, key=lambda pre: pre.element.word)
-
-
-def _lower_covers(system, b):
-    """(letter, root) for each lower cover of a positive root b; none for
-    a simple root, which its reflection sends negative."""
-    if _simple_index(system, b) is not None:
-        return []
-    return [(s, b[:s] + (b[s] - c,) + b[s + 1:]) for s in range(system.rank)
-            if sign(c := system.pairing(b, s)) > 0]
 
 
 def _palindrome(prefix_word):

@@ -259,10 +259,21 @@ def _simple_index(system, coords):
 _MAX_DESCENT = 1_000_000
 
 
+def _lower_covers(system, b):
+    """(letter, pairing, s(b)) for each letter s whose pairing c with the
+    positive root b is positive, in letter order.  Unless b is the
+    simple root a_s, s(b) = b - c a_s is a lower cover of b, one depth
+    lower; a simple root has no lower cover."""
+    for s in range(system.rank):
+        c = system.pairing(b, s)
+        if sign(c) > 0:
+            yield s, c, b[:s] + (b[s] - c,) + b[s + 1:]
+
+
 def _descend(system, coords):
     """The greedy descent of a positive root to a simple root.
 
-    Each step takes the first letter s with B(g, a_s) > 0, which lowers
+    Each step takes the first lower cover (`_lower_covers`), which lowers
     the depth of the current root g by exactly 1.  Returns the steps as
     (letter, pairing) pairs, c = 2B(g, a_s)/|a_s|^2 taken before the
     step, and the final simple letter r; the letters then r spell the
@@ -276,17 +287,10 @@ def _descend(system, coords):
         r = _simple_index(system, g)
         if r is not None:
             return steps, r
-        for s in range(system.rank):
-            c = system.pairing(g, s)
-            if sign(c) > 0:
-                break
-        else:
-            break
-        x = g[s] - c
-        if sign(x) < 0:
+        s, c, g = next(_lower_covers(system, g), (None, None, None))
+        if s is None or sign(g[s]) < 0:
             break
         steps.append((s, c))
-        g = g[:s] + (x,) + g[s + 1:]
     raise ValueError("vector is not a positive root")
 
 

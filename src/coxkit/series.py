@@ -8,8 +8,10 @@ recurrence of its first terms (Berlekamp-Massey), which gives den, with
 num the terms times den cut below the recurrence length.
 """
 
+import itertools
 import math
 import sys
+from collections import deque
 from operator import index, mul
 
 from .automata import _count_words, lump
@@ -96,9 +98,7 @@ class RationalSeries:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=None):
-        if den is None:
-            den = Polynomial([1])
+    def __init__(self, num, den):
         if not den:
             raise ZeroDivisionError("series denominator is zero")
         low = next(i for i, c in enumerate(den.coeffs) if c)
@@ -150,27 +150,33 @@ class RationalSeries:
         leaves the pair coprime."""
         return RationalSeries._reduced(self.num.shifted(j), self.den)
 
-    def coefficients(self, count):
-        """First `count` power-series coefficients, in ints: each step
+    def _expansion(self):
+        """The power-series coefficients, in ints, one at a time: each
         divides by den(0), which does nothing when den(0) = 1, and a
-        remainder raises ValueError."""
+        remainder raises ValueError.  Only the last deg(den), which the
+        recurrence reads, are kept."""
         num, (lead, *tail) = self.num.coeffs, self.den.coeffs
-        out = []
-        for k in range(count):
+        last = deque(maxlen=len(tail))
+        for k in itertools.count():
             c = num[k] if k < len(num) else 0
-            c -= sum(map(mul, tail, reversed(out[max(0, k - len(tail)):])))
+            c -= sum(map(mul, tail, reversed(last)))
             c, r = divmod(c, lead)
             if r:
                 raise ValueError("series coefficients are not integers")
-            out.append(c)
-        return out
+            last.append(c)
+            yield c
+
+    def coefficients(self, count):
+        """The first `count` power-series coefficients (`_expansion`)."""
+        return list(itertools.islice(self._expansion(), count))
 
     def to_obj(self, terms=None):
         """Plain dictionary form, integers as strings.
 
-        Raises LimitExceeded when one of the first `terms` coefficients
-        has more digits than str() converts to text
-        (sys.get_int_max_str_digits).
+        Raises LimitExceeded at the first of the first `terms`
+        coefficients that has more digits than str() converts to text
+        (sys.get_int_max_str_digits); the coefficients are expanded one
+        at a time, so none past it is computed.
         """
         obj = {
             "num": [str(c) for c in self.num.coeffs],
@@ -178,7 +184,7 @@ class RationalSeries:
         }
         if terms is not None:
             texts = []
-            for k, c in enumerate(self.coefficients(terms)):
+            for k, c in enumerate(itertools.islice(self._expansion(), terms)):
                 try:
                     texts.append(str(c))
                 except ValueError:
@@ -204,11 +210,9 @@ def _from_coefficients(seq, n):
     if not any(seq[n:]):
         return Polynomial(seq[:n]), Polynomial([1])
     den, length = berlekamp_massey(seq[: 2 * n + 1])
-    prod = [
-        sum(den[j] * seq[k - j] for j in range(min(k, len(den) - 1) + 1))
-        for k in range(len(seq))
-    ]
-    if any(prod[length:]):
+    prod = [0] * (len(den) + len(seq) - 1)
+    _poly_mul_into(prod, den, seq)
+    if any(prod[length:len(seq)]):
         raise ArithmeticError("series expansion disagrees with direct count")
     return Polynomial(prod[:length]), Polynomial(den)
 

@@ -249,6 +249,27 @@ def test_terms_past_the_digit_limit_exit_3(capsys, extra):
     assert len(err.splitlines()) == 1
 
 
+def test_terms_guard_fires_at_the_first_long_coefficient():
+    """--terms far past the digit limit stops at the first coefficient
+    too long to print, with nothing computed past it.  The memory cap
+    and the timeout bound a run that expands every requested term
+    first."""
+    code, out, err = _coxkit("automaton", "U8", "--series", "--terms", "10000000",
+                             COXKIT_MAX_MEM="2000000000")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: the coefficient of q^5089 has more than")
+    assert err.endswith("lower --terms\n") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [("roots", "[[1,2],[2]]", "--max-depth", "1"),
+                                  ("roots", "I2(1)", "--max-depth", "1"),
+                                  ("prefixes", "A3", "1x2")])
+def test_bad_input_exits_2_with_one_error_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_parser_built_once_per_process(capsys, monkeypatch):
     builds = []
 

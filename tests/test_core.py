@@ -37,6 +37,36 @@ def test_matrix_validation():
         ck.CoxeterMatrix([[1, 1], [1, 1]])
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: ck.CoxeterMatrix([]), "Coxeter matrix must be square and nonempty"),
+    (lambda: ck.CoxeterMatrix([[1, 2], [2]]), "Coxeter matrix must be square and nonempty"),
+    (lambda: ck.preset("I2(1)"), "dihedral bond must be 0 (infinite) or >= 3"),
+    (lambda: ck.preset("I2(2)"), "dihedral bond must be 0 (infinite) or >= 3"),
+    (lambda: ck.parse_word("1x2", 3), "bad letter '1x2'"),
+    (lambda: system("A3").element((5,)), "letter index 5 out of range"),
+    (lambda: ck.CoxeterSystem(), "need a Coxeter matrix or a Gram matrix"),
+    (lambda: ck.CoxeterSystem(gram=[[1, 0], [0]]), "Gram matrix must be square"),
+    (lambda: ck.CoxeterSystem(gram=[[1, Fraction(-1, 2)], [0, 1]]),
+     "Gram matrix must be symmetric"),
+    (lambda: ck.CoxeterSystem(gram=[[0, 0], [0, 1]]), "diagonal Gram entries must be positive"),
+    (lambda: ck.CoxeterSystem(gram=[[1, 1], [1, 1]]), "off-diagonal Gram entries must be <= 0"),
+    (lambda: ck.CoxeterSystem(gram=[[1, Fraction(-1, 3)], [Fraction(-1, 3), 1]]),
+     "bond ratio 1/9 has no integral order"),
+    (lambda: ck.CoxeterSystem(gram=[[ck.CyclotomicField(5).one, 0], [0, 1]]),
+     "an algebraic Gram matrix needs an explicit Coxeter matrix"),
+    (lambda: ck.CyclotomicField(0), "L must be a positive integer"),
+    (lambda: ck.reflection_from_root(system("A2"), (2, 1)),
+     "roots have unit norm in this representation"),
+    (lambda: ck.root_depth(system("A2"), (2, 1)), "vector is not a positive root"),
+    (lambda: ck.root_depth(system("A2"), (0, 0)), "vector is not a positive root"),
+    (lambda: ck.root_depth(system("A2"), (-1, 0)), "vector is not a positive root"),
+])
+def test_input_guards_say_what_is_wrong(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_descriptor_accepts_name_and_rows():
     a = ck.coxeter_matrix_from_descriptor("A3")
     b = ck.coxeter_matrix_from_descriptor("[[1,3,2],[3,1,3],[2,3,1]]")

@@ -9,7 +9,7 @@ import pytest
 import coxkit as ck
 from coxkit.core import LimitExceeded
 from coxkit.field import bond_lcm
-from coxkit.roots import dominance_set as root_dominance_set
+from coxkit.roots import _lower_covers, dominance_set as root_dominance_set
 from oracles import dominates, root_poset_slow
 
 
@@ -104,6 +104,23 @@ def test_profile_rejects_non_roots():
     with pytest.raises(ValueError):
         ck.root_profile(system("I2(inf)"), (1, -1))
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("spec, depth", [("A3", 6), ("H3", 6), ("~B3", 6), ("U3", 6),
+                                         ("[[1,4,5],[4,1,7],[5,7,1]]", 5)])
+def test_lower_cover_scan_matches_the_poset(spec, depth):
+    """The pairing scan of one root (roots._lower_covers) against the
+    poset's down covers, which come from carried pairings; a simple root
+    a_s has none, as the scan's one hit is s(a_s) = -a_s."""
+    sysm = ck.CoxeterSystem(matrix=ck.coxeter_matrix_from_descriptor(spec))
+    poset = ck.root_poset(sysm, max_depth=depth)
+    for i, coords in enumerate(poset.coords):
+        scan = sorted((s, g) for s, _, g in _lower_covers(sysm, coords))
+        if i < sysm.rank:
+            assert poset.down[i] == []
+            assert scan == [(i, tuple(-x for x in coords))]
+        else:
+            assert scan == sorted((s, poset.coords[lo]) for s, lo, _ in poset.down[i])
 
 
 def test_small_roots_finite_for_affine():
