@@ -7,12 +7,16 @@ Tracking one extra bit per state, whether the last letter moved the
 previous set entirely off itself, cuts the language down to reduced
 words of reflection-prefix elements.
 
-A state is keyed by its set and that bit, the bit always True for `red`,
-and the transitions form one table: row i maps each letter to a state,
-or to None where the letter is a descent.  The states are numbered
-breadth-first, so the shortest elements of each small inversion set are
-read off the table's layers (`low_elements`).
+A state is keyed by its set, a bit mask over the m-small roots, and that
+bit, the bit always True for `red`; the transitions form one table: row
+i maps each letter to a state, or to None where the letter is a
+descent.  The states are numbered breadth-first, so the shortest
+elements of each small inversion set are read off the table's layers
+(`low_elements`).
 """
+
+import functools
+from operator import getitem
 
 from .core import GroupElement, LimitExceeded, _left_mul_gen, _right_mul_gen
 from .roots import root_poset
@@ -81,9 +85,21 @@ def reflection_table(poset):
     return images
 
 
+@functools.cache
+def _byte_members(k):
+    """members[v]: the indices of the set bits of value v of byte k of a
+    mask, ascending."""
+    return [tuple(8 * k + p for p in range(8) if v >> p & 1) for v in range(256)]
+
+
 def build_automaton(system, m, kind="red", limit=None):
     """Breadth-first construction over subsets of the m-small roots.
 
+    A state is one int, the bit mask of its set of small-root indices
+    shifted up over its flag bit.  The simple roots are indices
+    0..rank-1, so s is a descent exactly when bit s of the mask is set.
+    Each mask is read once, byte by byte, into its sorted indices: the
+    state keeps them, and the masks of its images are summed over them.
     Raises LimitExceeded once more than `limit` m-small roots, or more
     than `limit` states, are found.
     """
@@ -94,35 +110,39 @@ def build_automaton(system, m, kind="red", limit=None):
     for s in range(rank):
         if poset.depths[s] != 0:
             raise ArithmeticError("small-root enumeration lost a simple root")
-    images = reflection_table(poset)
+    nbytes = (len(poset) + 7) // 8
+    decode = [_byte_members(k) for k in range(nbytes)]
+    # s maps distinct roots to distinct roots, so the sum of their image
+    # bits is the mask of the image set
+    letters = [(s, [0 if i is None else 1 << i for i in img].__getitem__)
+               for s, img in enumerate(reflection_table(poset))]
     red = kind == "red"
-    states = [(frozenset(), red)]
-    ids = {states[0]: 0}
+    keys = [int(red)]
+    ids = {keys[0]: 0}
+    states = []
     table = []
-    # states grows while the loop reads it: a breadth-first queue
-    for xset, _ in states:
+    # keys grows while the loop reads it: a breadth-first queue
+    for key in keys:
+        x = key >> 1
+        members = sum(map(getitem, decode, x.to_bytes(nbytes, "little")), ())
+        states.append((members, None if red else bool(key & 1)))
         row = [None] * rank
-        for s in range(rank):
-            if s in xset:
+        for s, image_bit in letters:
+            if x >> s & 1:
                 continue
-            img = images[s]
-            new = {img[b] for b in xset}
-            new.discard(None)
-            hit = not new.isdisjoint(xset)
-            new.add(s)
-            nkey = (frozenset(new), red or not hit)
+            new = sum(map(image_bit, members))
+            nkey = (new | 1 << s) << 1 | (red or not new & x)
             dst = ids.get(nkey)
             if dst is None:
-                dst = len(states)
+                dst = len(keys)
                 if limit is not None and dst >= limit:
                     raise LimitExceeded("automaton exceeded %d states" % limit)
                 ids[nkey] = dst
-                states.append(nkey)
+                keys.append(nkey)
             row[s] = dst
         table.append(tuple(row))
-    out = [(tuple(sorted(xset)), None if red else flag) for xset, flag in states]
-    finals = frozenset(i for i, (_, flag) in enumerate(states) if flag)
-    return Dfa(system, kind, m, poset, out, table, finals)
+    finals = frozenset(i for i, key in enumerate(keys) if key & 1)
+    return Dfa(system, kind, m, poset, states, table, finals)
 
 
 def accepts(dfa, word):

@@ -21,7 +21,7 @@ import sys
 from json.encoder import encode_basestring_ascii
 
 from .affine import affine_datum, affine_to_obj
-from .automata import KINDS, build_automaton, dfa_to_dot, dfa_to_obj
+from .automata import KINDS, build_automaton, dfa_to_dot
 from .core import CoxeterSystem, DomainError, LimitExceeded, \
     coxeter_matrix_from_descriptor, format_word, parse_word
 from .dihedral import canonical_generators
@@ -120,6 +120,31 @@ def _roots_json(system, max_depth, poset):
             % (system.rank, max_depth, roots, "[%s\n  ]" % covers if covers else "[]"))
 
 
+# one state and one transition of an `automaton --json` report, likewise
+_STATE_JSON = '\n    {\n      "set": %s,\n      "final": %s\n    }'
+_TRANSITION_JSON = '\n    [\n      %d,\n      %d,\n      %d\n    ]'
+
+
+def _automaton_json(dfa, series):
+    """The text of json.dumps({**dfa_to_obj(dfa), "series": series},
+    indent=2), the series left out when None, one template per state and
+    per transition."""
+    names = [encode_basestring_ascii(label) for label in dfa.poset.labels()]
+    finals = dfa.finals
+    states = ",".join(
+        _STATE_JSON % ("[\n        %s\n      ]" % ",\n        ".join([names[j] for j in key])
+                       if key else "[]", "true" if i in finals else "false")
+        for i, (key, _) in enumerate(dfa.states))
+    transitions = ",".join(
+        _TRANSITION_JSON % (i, s + 1, dst)
+        for i, row in enumerate(dfa.table) for s, dst in enumerate(row) if dst is not None)
+    return ('{\n  "kind": %s,\n  "m": %d,\n  "initial": %d,\n  "set_states": %d,'
+            '\n  "states": [%s\n  ],\n  "transitions": %s%s\n}'
+            % (encode_basestring_ascii(dfa.kind), dfa.m, dfa.initial, dfa.set_count, states,
+               "[%s\n  ]" % transitions if transitions else "[]",
+               "" if series is None else ',\n  "series": ' + _json(series, "\n  ")))
+
+
 def cmd_roots(args, out):
     system = _system(args.spec)
     poset = root_poset(system, max_depth=args.max_depth, limit=args.max_roots)
@@ -155,10 +180,7 @@ def cmd_automaton(args, out):
         _write_file(args.dot, dfa_to_dot(dfa))
     series = dfa_series(dfa).to_obj(args.terms) if args.series else None
     if args.json:
-        obj = dfa_to_obj(dfa)
-        if series is not None:
-            obj["series"] = series
-        out.write(_json(obj) + "\n")
+        out.write(_automaton_json(dfa, series) + "\n")
         return 0
     out.write("kind=%s m=%d\n" % (dfa.kind, dfa.m))
     out.write("states: %d (distinct small sets: %d), final: %d, transitions: %d\n"

@@ -320,21 +320,34 @@ def _inversions(system, word):
 def _shortlex_word(system, inv_rows):
     """Canonical word by repeatedly stripping the smallest left descent.
 
-    The left descents of w are the negative columns of w^-1, and the
-    inverse of s w is w^-1 s, so the inverse matrix alone is carried:
-    w is the identity exactly when its inverse is.
+    The left descents of w are the s with w^-1(a_s) < 0.  A root's
+    coordinates all have its sign, so that is the sign of f_s, the sum
+    of column s of the inverse matrix.  The inverse of s w is w^-1 s,
+    which moves the column sums as `_right_mul_gen` moves each row:
+    f_j -= c f_s for each neighbour j of s, and f_s = -f_s.  So one
+    vector and its sign flags are carried.  As c < 0 and f_s < 0, each
+    f_j only falls: a letter tests the sign of the neighbours not yet
+    flagged, and no other.  No flag is left exactly at the identity,
+    where every f_t is 1.
     """
+    if inv_rows == system._id_rows:
+        return ()
+    f = [sum(col, system.zero) for col in zip(*inv_rows)]
+    neg = [sign(x) < 0 for x in f]
+    nbrs = system._neighbors
     word = []
-    idr = system._id_rows
-    n = system.rank
-    while inv_rows != idr:
-        for s in range(n):
-            if _column_is_negative(inv_rows, s):
-                break
-        else:
-            raise ArithmeticError("matrix has no left descent yet is not 1")
-        inv_rows = _right_mul_gen(system, inv_rows, s)
+    while True in neg:
+        s = neg.index(True)
+        fs = f[s]
+        for j, c in nbrs[s]:
+            f[j] = fj = f[j] - c * fs
+            if not neg[j]:
+                neg[j] = sign(fj) < 0
+        f[s] = -fs
+        neg[s] = False
         word.append(s)
+    if any(x != system.one for x in f):
+        raise ArithmeticError("matrix has no left descent yet is not 1")
     return tuple(word)
 
 
@@ -435,6 +448,9 @@ class CoxeterSystem:
                       for x in row] for row in g]
                 if matrix is None:
                     raise ValueError("an algebraic Gram matrix needs an explicit Coxeter matrix")
+                # matrix_from_gram checks this for a rational form
+                if any(x > 0 for i, row in enumerate(g) for j, x in enumerate(row) if i != j):
+                    raise ValueError("off-diagonal Gram entries must be <= 0")
             else:
                 g = [[Fraction(x) for x in row] for row in g]
                 field = CyclotomicField(1)

@@ -3,9 +3,10 @@
 Everything here goes through plain group arithmetic, or for the field
 through plain polynomial arithmetic, never through the structures under
 test, so a bug cannot cancel on both sides.  The last section holds the
-library's own helpers that only tests call (dominates,
-subgroup_inversions, affine_slice); they read the library's structures
-and serve as references for its other paths.
+library's own helpers that only tests call (the column-stripping normal
+form, the automaton over frozensets, dominates, subgroup_inversions,
+affine_slice); they read the library's structures and serve as
+references for its other paths.
 """
 
 import math
@@ -13,9 +14,11 @@ from collections import namedtuple
 from fractions import Fraction
 
 from coxkit.affine import orbit_series
+from coxkit.automata import Dfa, reflection_table
+from coxkit.core import LimitExceeded, _column_is_negative, _right_mul_gen
 from coxkit.dihedral import _subgroup_roots
 from coxkit.prefixes import _reflection_root
-from coxkit.roots import Root, root_depth, root_profile
+from coxkit.roots import Root, root_depth, root_poset, root_profile
 
 
 def reduced_word_trie(system, max_len):
@@ -543,6 +546,58 @@ def dyer_canonical(system, r, t):
 
 
 # Helpers built on the library that only tests call.
+
+
+def shortlex_word_by_columns(system, inv_rows):
+    """The shortlex normal form of w from the matrix of w^-1, stripping
+    the smallest left descent while w is not 1: s is one when column s
+    of the matrix, w^-1(a_s), is negative, and the inverse of s w is
+    w^-1 s, one right multiplication of the whole matrix."""
+    word = []
+    while inv_rows != system._id_rows:
+        for s in range(system.rank):
+            if _column_is_negative(inv_rows, s):
+                break
+        else:
+            raise ArithmeticError("matrix has no left descent yet is not 1")
+        inv_rows = _right_mul_gen(system, inv_rows, s)
+        word.append(s)
+    return tuple(word)
+
+
+def automaton_by_sets(system, m, kind, limit=None):
+    """build_automaton with each state held as (frozenset of m-small
+    root indices, flag) and each transition's image set built root by
+    root from the reflection table; the same breadth-first numbering,
+    limit and messages."""
+    poset = root_poset(system, msmall=m, limit=limit)
+    images = reflection_table(poset)
+    red = kind == "red"
+    states = [(frozenset(), red)]
+    ids = {states[0]: 0}
+    table = []
+    for xset, _ in states:
+        row = [None] * system.rank
+        for s in range(system.rank):
+            if s in xset:
+                continue
+            new = {images[s][b] for b in xset}
+            new.discard(None)
+            hit = not new.isdisjoint(xset)
+            new.add(s)
+            nkey = (frozenset(new), red or not hit)
+            dst = ids.get(nkey)
+            if dst is None:
+                dst = len(states)
+                if limit is not None and dst >= limit:
+                    raise LimitExceeded("automaton exceeded %d states" % limit)
+                ids[nkey] = dst
+                states.append(nkey)
+            row[s] = dst
+        table.append(tuple(row))
+    out = [(tuple(sorted(xset)), None if red else flag) for xset, flag in states]
+    finals = frozenset(i for i, (_, flag) in enumerate(states) if flag)
+    return Dfa(system, kind, m, poset, out, table, finals)
 
 
 def dominates(system, beta, alpha):

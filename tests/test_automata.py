@@ -7,11 +7,11 @@ import pytest
 
 import coxkit as ck
 from coxkit.automata import (
-    accepts, build_automaton, count_by_length, dfa_to_dot, dfa_to_obj,
+    KINDS, accepts, build_automaton, count_by_length, dfa_to_dot, dfa_to_obj,
     low_elements, lump, reflection_table,
 )
 from coxkit.core import coxeter_matrix_from_descriptor
-from oracles import low_elements_by_search, reduced_word_trie
+from oracles import automaton_by_sets, low_elements_by_search, reduced_word_trie
 
 
 def system(name):
@@ -211,6 +211,38 @@ def test_lump_is_a_stable_partition(spec, m):
             assert rows[block[i]] == succ, (spec, kind, i)
             sig = (i in dfa.finals, succ)
             assert seen.setdefault(block[i], sig) == sig, (spec, kind, i)
+
+
+# the states of an automaton built against its frozenset oracle, capped
+ORACLE_CAP = 3000
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+@pytest.mark.parametrize("spec", ["A3", "B4", "H3", "D5", "~A2", "~C2", "~G2", "~B3", "U3",
+                                  "[[1,3,3],[3,1,4],[3,4,1]]"])
+def test_bit_mask_states_match_the_frozenset_automaton(spec, m):
+    """Both kinds give the states, in the same breadth-first order, the
+    table, the finals and the set count of the automaton over frozensets;
+    a cap just below the state count stops both with one message, as
+    does the cap of an automaton larger than it."""
+    sysm = ck.CoxeterSystem(matrix=coxeter_matrix_from_descriptor(spec))
+    for kind in KINDS:
+        try:
+            want = automaton_by_sets(sysm, m, kind, ORACLE_CAP)
+        except ck.LimitExceeded as exc:
+            with pytest.raises(ck.LimitExceeded, match="^%s$" % exc):
+                build_automaton(sysm, m, kind, ORACLE_CAP)
+            continue
+        got = build_automaton(sysm, m, kind, ORACLE_CAP)
+        assert (got.states, got.table, got.finals, got.set_count) == \
+            (want.states, want.table, want.finals, want.set_count), kind
+        cap = len(want.states) - 1
+        messages = []
+        for build in (build_automaton, automaton_by_sets):
+            with pytest.raises(ck.LimitExceeded) as exc:
+                build(sysm, m, kind, cap)
+            messages.append(str(exc.value))
+        assert messages == ["automaton exceeded %d states" % cap] * 2, kind
 
 
 @pytest.mark.parametrize("m", [0, 1, 2])

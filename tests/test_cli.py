@@ -10,11 +10,12 @@ import time
 import pytest
 
 from coxkit import cli, core
-from coxkit.automata import build_automaton
+from coxkit.automata import KINDS, build_automaton, dfa_to_obj
 from coxkit.cli import build_parser, main
 from coxkit.core import CoxeterSystem, coxeter_matrix_from_descriptor
 from coxkit.field import AlgebraicNumber
 from coxkit.roots import root_poset
+from coxkit.series import dfa_series
 
 
 def run(capsys, *argv):
@@ -117,6 +118,32 @@ def test_automaton_json(capsys):
     assert obj["kind"] == "red"
     assert obj["series"]["num"] == ["1", "2", "2", "2"]
     assert obj["series"]["den"] == ["1"]
+
+
+@pytest.mark.parametrize("spec", ["A1", "B3", "~A2", "[[1,3,3],[3,1,4],[3,4,1]]"])
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("series", [False, True])
+def test_automaton_json_is_json_dumps_of_the_report(capsys, spec, kind, series):
+    """The template writer prints json.dumps of dfa_to_obj plus the
+    series, from the initial state's empty set on; the `pref` initial
+    state is not final."""
+    argv = ["automaton", spec, "--m", "1", "--kind", kind, "--terms", "7", "--json"]
+    code, out, _ = run(capsys, *argv + ["--series"] * series)
+    assert code == 0
+    dfa = build_automaton(CoxeterSystem(matrix=coxeter_matrix_from_descriptor(spec)), 1, kind)
+    obj = dfa_to_obj(dfa)
+    if series:
+        obj["series"] = dfa_series(dfa).to_obj(7)
+    assert out == json.dumps(obj, indent=2) + "\n"
+    assert obj["states"][0] == {"set": [], "final": kind == "red"}
+
+
+def test_e6_series_fits_a_90_mb_cap():
+    """The E6 automaton's 51,840 states and its series fit in 90 MB of
+    address space."""
+    code, out, err = _coxkit("automaton", "E6", "--series", COXKIT_MAX_MEM="90000000")
+    assert (code, err) == (0, "")
+    assert out.startswith("kind=red m=0\nstates: 51840 ")
 
 
 def test_reflections_census(capsys):

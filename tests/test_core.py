@@ -7,10 +7,10 @@ import pytest
 
 import coxkit as ck
 from coxkit.affine import affine_datum
-from coxkit.core import _plain
+from coxkit.core import _plain, _shortlex_word
 from coxkit.field import AlgebraicNumber, bond_lcm
 from coxkit.roots import _descend
-from oracles import reduced_word_trie
+from oracles import reduced_word_trie, shortlex_word_by_columns
 
 
 def system(name):
@@ -60,6 +60,9 @@ def test_matrix_validation():
     (lambda: ck.root_depth(system("A2"), (2, 1)), "vector is not a positive root"),
     (lambda: ck.root_depth(system("A2"), (0, 0)), "vector is not a positive root"),
     (lambda: ck.root_depth(system("A2"), (-1, 0)), "vector is not a positive root"),
+    (lambda: ck.CoxeterSystem(matrix=ck.preset("H3"), gram=[
+        [x if i == j else -x for j, x in enumerate(row)]
+        for i, row in enumerate(system("H3").gram)]), "off-diagonal Gram entries must be <= 0"),
 ])
 def test_input_guards_say_what_is_wrong(call, message):
     with pytest.raises(ValueError) as info:
@@ -128,6 +131,35 @@ def test_element_word_is_shortlex_minimal():
             a, b = rng.choice(elements), rng.choice(elements)
             if a.length + b.length <= max_len:
                 check(a * b)
+
+
+# a rational Gram form with Fraction norms and Cartan coefficients
+FRACTION_GRAM = [[Fraction(3, 2), Fraction(-3, 4), 0],
+                 [Fraction(-3, 4), Fraction(3, 2), Fraction(-3, 2)],
+                 [0, Fraction(-3, 2), 3]]
+
+
+@pytest.mark.parametrize("spec", ["A3", "B4", "H3", "F4", "~B3", "~G2", "U3",
+                                  "[[1,4,5],[4,1,7],[5,7,1]]", "fraction gram"])
+def test_normal_form_matches_column_stripping(spec):
+    """The normal form read off the column sums equals the one stripped
+    column by column from the whole inverse matrix, on the identity, on
+    words that multiply out to it and on random words, most of them not
+    reduced, for both matrices of each element."""
+    if spec == "fraction gram":
+        sysm = ck.CoxeterSystem(gram=FRACTION_GRAM)
+    else:
+        sysm = ck.CoxeterSystem(matrix=ck.coxeter_matrix_from_descriptor(spec))
+    rng = random.Random(spec)
+    words = [(), (0, 0)]
+    while len(words) < 200:
+        word = tuple(rng.randrange(sysm.rank) for _ in range(rng.randint(1, 12)))
+        words.append(word + word[::-1] if len(words) % 10 == 0 else word)
+    for word in words:
+        w = sysm.element(word)
+        for rows in (w.inv_rows, w.rows):
+            assert _shortlex_word(sysm, rows) == shortlex_word_by_columns(sysm, rows), word
+    assert sysm.element(words[2] + words[2][::-1]).word == ()
 
 
 def test_length_is_inversion_count():
