@@ -18,7 +18,7 @@ elements of each small inversion set are read off the table's layers
 import functools
 from operator import getitem
 
-from .core import GroupElement, LimitExceeded, _left_mul_gen, _right_mul_gen
+from .core import GroupElement, LimitExceeded, _right_mul_gen
 from .roots import root_poset
 
 # the automaton kinds: reduced words, and reduced words of reflection prefixes
@@ -228,8 +228,7 @@ def low_elements(system, m, limit=None):
                 low.append(None)
             elif j is None or (low[j].length, low[j].word) <= (len(word), word):
                 continue
-            low[j] = GroupElement(system, _left_mul_gen(system, u.rows, s),
-                                  _right_mul_gen(system, u.inv_rows, s), word)
+            low[j] = GroupElement(system, _right_mul_gen(system, u.inv_rows, s), word)
     return sorted(low, key=lambda u: (u.length, u.word))
 
 

@@ -16,6 +16,7 @@ closes it early.
 import argparse
 import functools
 import io
+import json
 import os
 import sys
 from json.encoder import encode_basestring_ascii
@@ -51,45 +52,6 @@ def _write_file(path, text):
             fh.write(text)
     except OSError as exc:
         raise ValueError("cannot write %s: %s" % (path, exc.strerror or exc))
-
-
-# encoders of the JSON scalars, by exact type, as json.dumps writes them
-_SCALARS = {
-    str: encode_basestring_ascii,
-    int: int.__repr__,
-    bool: lambda x: "true" if x else "false",
-    type(None): lambda x: "null",
-}
-
-
-def _json(obj, indent="\n"):
-    """The text of json.dumps(obj, indent=2), for dicts with str keys,
-    lists and tuples over str, int, bool and None (exactly these types);
-    any other type raises TypeError.
-
-    A recursive join that writes scalars in place: strings, keys too, go
-    through the C escaper (which rejects a key that is not a str) and
-    ints through int.__repr__, as in the json module, whose indenting
-    encoder is pure Python.
-    """
-    enc = _SCALARS.get(type(obj))
-    if enc is not None:
-        return enc(obj)
-    inner = indent + "  "
-    if type(obj) is dict:
-        opening, closing = "{", "}"
-        items = [encode_basestring_ascii(k) + ": "
-                 + (_SCALARS[type(v)](v) if type(v) in _SCALARS else _json(v, inner))
-                 for k, v in obj.items()]
-    elif type(obj) is list or type(obj) is tuple:
-        opening, closing = "[", "]"
-        items = [_SCALARS[type(x)](x) if type(x) in _SCALARS else _json(x, inner)
-                 for x in obj]
-    else:
-        raise TypeError("Object of type %s is not JSON serializable" % type(obj).__name__)
-    if not items:
-        return opening + closing
-    return opening + inner + ("," + inner).join(items) + indent + closing
 
 
 def _print_series(name, obj, out):
@@ -142,7 +104,8 @@ def _automaton_json(dfa, series):
             '\n  "states": [%s\n  ],\n  "transitions": %s%s\n}'
             % (encode_basestring_ascii(dfa.kind), dfa.m, dfa.initial, dfa.set_count, states,
                "[%s\n  ]" % transitions if transitions else "[]",
-               "" if series is None else ',\n  "series": ' + _json(series, "\n  ")))
+               "" if series is None else ',\n  "series": '
+               + json.dumps(series, indent=2).replace("\n", "\n  ")))
 
 
 def cmd_roots(args, out):
@@ -203,7 +166,7 @@ def cmd_reflections(args, out):
         for t, pal in rows
     ]
     if args.json:
-        out.write(_json(obj) + "\n")
+        out.write(json.dumps(obj, indent=2) + "\n")
         return 0
     counts = {}
     for row in obj:
@@ -234,7 +197,7 @@ def cmd_prefixes(args, out):
         if pref is not None:
             obj["reflection"] = format_word(pref.reflection.word, system.rank)
     if args.json:
-        out.write(_json(obj) + "\n")
+        out.write(json.dumps(obj, indent=2) + "\n")
     elif prefs is not None:
         out.write("reflection %(reflection)s, palindromic word %(palindrome)s\n" % obj)
         for p in obj["prefixes"]:
@@ -258,7 +221,7 @@ def cmd_dihedral(args, out):
         "order_m": sub.order_m,
     }
     if args.json:
-        out.write(_json(obj) + "\n")
+        out.write(json.dumps(obj, indent=2) + "\n")
         return 0
     out.write("canonical generators: {%s, %s}, m = %s\n"
               % (*obj["canonical"], obj["order_m"] or "infinite-or-large"))
@@ -268,7 +231,7 @@ def cmd_dihedral(args, out):
 def cmd_affine(args, out):
     obj = affine_to_obj(affine_datum(args.type), args.terms)
     if args.json:
-        out.write(_json(obj) + "\n")
+        out.write(json.dumps(obj, indent=2) + "\n")
         return 0
     out.write("type %s, %d positive finite roots, highest root (%s)\n"
               % (obj["type"], obj["positive_roots"], ", ".join(obj["highest_root"])))
@@ -361,12 +324,13 @@ def _apply_mem_cap():
         return
     try:
         nbytes = int(cap)
-    except ValueError:
-        raise ValueError("COXKIT_MAX_MEM must be an integer byte count")
-    try:
+        if nbytes <= 0:
+            raise ValueError
         import resource
 
         resource.setrlimit(resource.RLIMIT_AS, (nbytes, nbytes))
+    except (ValueError, OverflowError):  # OverflowError: past what a C long holds
+        raise ValueError("COXKIT_MAX_MEM must be an integer byte count") from None
     except (ImportError, OSError):
         pass
 

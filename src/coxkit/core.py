@@ -5,9 +5,9 @@ bond) together with a symmetric bilinear form on the span of the simple
 roots.  The default form is the unitary one, B(a_s, a_s) = 1 and
 B(a_s, a_t) = -cos(pi/m_st), with values in Q(2cos(pi/L)); a custom
 rational form may be supplied instead, as in the integral models of the
-affine types.  Elements are stored as exact matrices in the simple-root
-basis together with their shortlex normal form, so equality, descents
-and lengths are all decided without floating point.
+affine types.  An element is stored as the exact matrix of its inverse
+in the simple-root basis together with its shortlex normal form, so
+equality, descents and lengths are all decided without floating point.
 
 Every Cartan coefficient 2B(a_s, a_t)/B(a_s, a_s) of the unitary form is
 -2cos(pi/m_st), an algebraic integer, and a Cartan integer in the
@@ -308,13 +308,14 @@ def _half(x):
 
 
 def _inversions(system, word):
-    """Inversions of the element of a reduced word, in word order."""
+    """The matrix of the element of a reduced word, and its inversions
+    in word order, from one walk of the word."""
     rows = system._id_rows
     out = []
     for s in word:
         out.append(tuple(row[s] for row in rows))
         rows = _right_mul_gen(system, rows, s)
-    return tuple(out)
+    return rows, tuple(out)
 
 
 def _shortlex_word(system, inv_rows):
@@ -351,22 +352,32 @@ def _shortlex_word(system, inv_rows):
     return tuple(word)
 
 
+def _element(system, inv_rows):
+    """The element whose inverse has the matrix inv_rows."""
+    return GroupElement(system, inv_rows, _shortlex_word(system, inv_rows))
+
+
 class GroupElement:
     """Element of a Coxeter system.
 
-    Carries the matrix of its action in the simple-root basis, the
-    matrix of its inverse, and the shortlex normal form.  Equality and
-    hashing go through the matrix, so distinct words never collide.
+    Carries the matrix of its inverse and its shortlex normal form; the
+    matrix of its action is built from the normal form on demand.
+    Equality and hashing go through the inverse matrix, so distinct
+    words never collide.
     """
 
-    __slots__ = ("system", "rows", "inv_rows", "word")
+    __slots__ = ("system", "inv_rows", "word")
 
-    def __init__(self, system, rows, inv_rows, word):
+    def __init__(self, system, inv_rows, word):
         # word must already be the shortlex normal form
         self.system = system
-        self.rows = rows
         self.inv_rows = inv_rows
         self.word = word
+
+    @property
+    def rows(self):
+        """The matrix of w, one generator product per letter of its normal form."""
+        return _inversions(self.system, self.word)[0]
 
     @property
     def length(self):
@@ -376,38 +387,32 @@ class GroupElement:
         return (
             isinstance(other, GroupElement)
             and self.system is other.system
-            and self.rows == other.rows
+            and self.inv_rows == other.inv_rows
         )
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash(self.inv_rows)
 
     def __repr__(self):
         return format_word(self.word, self.system.rank)
 
     def __mul__(self, other):
-        rows = _matmul(self.system, self.rows, other.rows)
-        inv = _matmul(self.system, other.inv_rows, self.inv_rows)
-        return GroupElement(self.system, rows, inv, _shortlex_word(self.system, inv))
+        # (uv)^-1 = v^-1 u^-1
+        return _element(self.system, _matmul(self.system, other.inv_rows, self.inv_rows))
 
     def inverse(self):
-        return GroupElement(
-            self.system, self.inv_rows, self.rows,
-            _shortlex_word(self.system, self.rows),
-        )
+        return _element(self.system, self.rows)
 
     def is_identity(self):
         return not self.word
 
     def times_gen(self, s):
-        """Right product with one generator."""
-        rows = _right_mul_gen(self.system, self.rows, s)
-        inv = _left_mul_gen(self.system, self.inv_rows, s)
-        return GroupElement(self.system, rows, inv, _shortlex_word(self.system, inv))
+        """Right product with one generator: (ws)^-1 = s w^-1."""
+        return _element(self.system, _left_mul_gen(self.system, self.inv_rows, s))
 
     def right_descents(self):
-        return tuple(s for s in range(self.system.rank)
-                     if _column_is_negative(self.rows, s))
+        rows = self.rows
+        return tuple(s for s in range(self.system.rank) if _column_is_negative(rows, s))
 
     def act(self, coords):
         dot = self.system._dot
@@ -415,7 +420,7 @@ class GroupElement:
 
     def inversion_set(self):
         """Positive roots sent negative, as b_k = w_1..w_{k-1}(a_{w_k})."""
-        return _inversions(self.system, self.word)
+        return _inversions(self.system, self.word)[1]
 
 
 class CoxeterSystem:
@@ -496,7 +501,7 @@ class CoxeterSystem:
             tuple(self.one if i == j else self.zero for j in range(n))
             for i in range(n)
         )
-        self.identity = GroupElement(self, self._id_rows, self._id_rows, ())
+        self.identity = GroupElement(self, self._id_rows, ())
 
     def __repr__(self):
         return "CoxeterSystem(rank=%d, mode=%s)" % (self.rank, self.mode)
@@ -548,14 +553,12 @@ class CoxeterSystem:
         """The element of a word (string with 1-based letters, or 0-based ints)."""
         if isinstance(word, str):
             word = parse_word(word, self.rank)
-        rows = self._id_rows
         inv = self._id_rows
         for s in word:
             if not 0 <= s < self.rank:
                 raise ValueError("letter index %r out of range" % (s,))
-            rows = _right_mul_gen(self, rows, s)
             inv = _left_mul_gen(self, inv, s)
-        return GroupElement(self, rows, inv, _shortlex_word(self, inv))
+        return _element(self, inv)
 
     def generator(self, s):
         return self.element((s,))
@@ -566,7 +569,8 @@ def cayley_bfs(system, max_length=None, limit=None):
 
     Parents are processed in discovery order and letters tried in
     increasing order; first-seen words are then shortlex minimal, so
-    every element comes out carrying its canonical word.  Kept for the
+    every element comes out carrying its canonical word.  For a right
+    descent s of w, w s is shorter and so already seen.  Kept for the
     core.bfs span of bench/spans.py and the tests' brute-force balls.
     """
     order = [system.identity]
@@ -578,14 +582,11 @@ def cayley_bfs(system, max_length=None, limit=None):
         if max_length is not None and w.length >= max_length:
             break  # the queue is sorted by length
         for s in range(system.rank):
-            if _column_is_negative(w.rows, s):
-                continue
-            rows = _right_mul_gen(system, w.rows, s)
-            if rows in seen:
-                continue
-            seen.add(rows)
             inv = _left_mul_gen(system, w.inv_rows, s)
-            order.append(GroupElement(system, rows, inv, w.word + (s,)))
+            if inv in seen:
+                continue
+            seen.add(inv)
+            order.append(GroupElement(system, inv, w.word + (s,)))
             if limit is not None and len(order) > limit:
                 raise LimitExceeded("enumeration exceeded %d elements" % limit)
     return order
@@ -595,13 +596,18 @@ def is_reflection(w):
     """The positive root negated by w, or None.
 
     An involution is a reflection exactly when it negates a single
-    positive root, so the check and the root come out together.
+    positive root, so the check and the root come out together.  One
+    walk of the word gives w's matrix and its inversions.
     """
-    if w.length % 2 == 0 or w.rows != w.inv_rows:
+    if w.length % 2 == 0:
         return None
+    rows, inversions = _inversions(w.system, w.word)
+    if rows != w.inv_rows:
+        return None
+    dot = w.system._dot
     found = None
-    for b in w.inversion_set():
-        if w.act(b) == tuple(-x for x in b):
+    for b in inversions:
+        if all(dot(row, b) == -x for row, x in zip(rows, b)):
             if found is not None:
                 return None
             found = b

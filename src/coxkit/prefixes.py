@@ -21,8 +21,8 @@ normal form of its prefix, so no prefix is multiplied out to name it:
 Non-reflections, and the identity in the prefix test, raise `core.DomainError`.
 """
 
-from .core import DomainError, GroupElement, LimitExceeded, _left_mul_gen, _right_mul_gen, \
-    _shortlex_word, format_word, is_reflection
+from .core import DomainError, LimitExceeded, _element, _left_mul_gen, _right_mul_gen, \
+    format_word, is_reflection
 from .field import sign
 from .roots import _close_up, _descend, _lower_covers, _simple_index, root_poset
 
@@ -104,19 +104,19 @@ def prefixes_of(system, t, limit=None):
     spelled by the chain letters above it.  Two chains that reach one
     root with one element go on alike, so each state is expanded once,
     and the walk grows with the states, not with the chains, whose
-    number can grow exponentially with the depth.  A state carries the element's matrix and inverse,
-    one generator product each per step, and each distinct prefix is
-    stripped to its normal form once, at the end.
+    number can grow exponentially with the depth.  A state carries the
+    matrix of the inverse of the element, one generator product per
+    step, and each distinct prefix is stripped to its normal form once,
+    at the end.
     """
     root = _reflection_root(system, t)
     dp = t.length // 2  # l(t) = 2 dp(a_t) + 1
     covers = {}
     leaves = {}
-    idr = system._id_rows
-    stack = [(root, idr, idr)]
+    stack = [(root, system._id_rows)]
     seen = set()
     while stack:
-        b, rows, inv = stack.pop()
+        b, inv = stack.pop()
         entry = covers.get(b)
         if entry is None:
             if limit is not None and len(covers) >= limit:
@@ -125,18 +125,16 @@ def prefixes_of(system, t, limit=None):
             entry = covers[b] = (r, tuple(_lower_covers(system, b)) if r is None else ())
         r, downs = entry
         if r is not None:
-            rows = _right_mul_gen(system, rows, r)
-            if rows not in leaves:
-                leaves[rows] = (_left_mul_gen(system, inv, r), r)
+            leaves.setdefault(_left_mul_gen(system, inv, r), r)
             continue
         for s, _, lo in downs:
-            head = _right_mul_gen(system, rows, s)
+            head = _left_mul_gen(system, inv, s)  # (p s)^-1 = s p^-1
             if (lo, head) not in seen:
                 seen.add((lo, head))
-                stack.append((lo, head, _left_mul_gen(system, inv, s)))
+                stack.append((lo, head))
     out = []
-    for rows, (inv, s) in leaves.items():
-        p = GroupElement(system, rows, inv, _shortlex_word(system, inv))
+    for inv, s in leaves.items():
+        p = _element(system, inv)
         if p.length != dp + 1:
             raise ArithmeticError("chain word for a prefix is not reduced")
         out.append(ReflectionPrefix(p, t, root, s))
@@ -185,7 +183,7 @@ def reflections_up_to(system, max_length, limit=None):
         else:
             rows, word = _right_mul_gen(system, system._id_rows, i), (i,)
         mats.append((rows, word))
-        t = GroupElement(system, rows, rows, _shortlex_word(system, rows))
+        t = _element(system, rows)
         out.append((t, _palindrome(word)))
     out.sort(key=lambda pair: (pair[0].length, pair[0].word))
     return out

@@ -21,8 +21,7 @@ from __future__ import annotations
 import functools
 import math
 
-from .core import GroupElement, LimitExceeded, _inversions, _left_mul_gen, _right_mul_gen, \
-    _shortlex_word
+from .core import LimitExceeded, _element, _inversions, _left_mul_gen, _right_mul_gen
 from .field import sign
 
 
@@ -333,11 +332,11 @@ def reflection_from_root(system, coords):
 def _close_up(system, word):
     """The reflection u r u^-1 for a prefix word u r: conjugates s_r by
     the letters of u, last first, t = s t' s per letter; t is its own
-    inverse, so one matrix serves for both."""
+    inverse, so its matrix is the inverse matrix the element keeps."""
     rows = _right_mul_gen(system, system._id_rows, word[-1])
     for s in reversed(word[:-1]):
         rows = _right_mul_gen(system, _left_mul_gen(system, rows, s), s)
-    return GroupElement(system, rows, rows, _shortlex_word(system, rows))
+    return _element(system, rows)
 
 
 def dominance_set(system, beta):
@@ -352,6 +351,6 @@ def dominance_set(system, beta):
     """
     beta = tuple(beta)
     steps, r = _descend(system, beta)
-    inv = _inversions(system, [s for s, _ in steps] + [r])
+    inv = _inversions(system, [s for s, _ in steps] + [r])[1]
     longs = _long_steps(system, steps, system.norm_sq(beta))
     return [a for a, is_long in zip(inv, longs) if is_long] + [beta]

@@ -19,6 +19,10 @@ from .core import LimitExceeded
 from .field import _in_power, _poly_mul_into, _poly_trim
 
 
+# the most coefficients a series report prints
+_MAX_TERMS = 1000000
+
+
 class Polynomial:
     """Int coefficient vector, lowest degree first, trailing zeros
     stripped; a coefficient that is not an int raises TypeError."""
@@ -173,7 +177,8 @@ class RationalSeries:
     def to_obj(self, terms=None):
         """Plain dictionary form, integers as strings.
 
-        Raises LimitExceeded at the first of the first `terms`
+        Raises LimitExceeded when `terms` is over _MAX_TERMS, before any
+        coefficient is expanded, and at the first of the first `terms`
         coefficients that has more digits than str() converts to text
         (sys.get_int_max_str_digits); the coefficients are expanded one
         at a time, so none past it is computed.
@@ -183,6 +188,9 @@ class RationalSeries:
             "den": [str(c) for c in self.den.coeffs],
         }
         if terms is not None:
+            if terms > _MAX_TERMS:
+                raise LimitExceeded("a report prints at most %d coefficients, not %d; "
+                                    "lower --terms" % (_MAX_TERMS, terms))
             texts = []
             for k, c in enumerate(itertools.islice(self._expansion(), terms)):
                 try:

@@ -4,7 +4,8 @@ Everything here goes through plain group arithmetic, or for the field
 through plain polynomial arithmetic, never through the structures under
 test, so a bug cannot cancel on both sides.  The last section holds the
 library's own helpers that only tests call (the column-stripping normal
-form, the automaton over frozensets, dominates, subgroup_inversions,
+form, the breadth-first search keyed by each element's own matrix, the
+automaton over frozensets, dominates, subgroup_inversions,
 affine_slice); they read the library's structures and serve as
 references for its other paths.
 """
@@ -127,6 +128,41 @@ def palindrome_counts(system, max_length):
         level = nxt
         k += 1
     return counts
+
+
+def matrix_of_word(system, word):
+    """The matrix of the element of any word, as a plain product of the
+    generator matrices: column j of the matrix of s is s(a_j), from
+    `system.reflect`."""
+    rank = system.rank
+    columns = [[system.reflect(system.simple_root(j), s) for j in range(rank)]
+               for s in range(rank)]
+    rows = system._id_rows
+    for s in word:
+        rows = tuple(tuple(sum((a * b for a, b in zip(row, col)), system.zero)
+                           for col in columns[s]) for row in rows)
+    return rows
+
+
+def reflection_root_by_rule(system, word):
+    """The positive root negated by the element of a reduced word, or
+    None, by the rule the element's two matrices gave: an odd length,
+    the matrix equal to that of the reversed word, and exactly one
+    inversion b_k = s_1 .. s_{k-1}(a_{s_k}) sent to -b_k."""
+    rows = matrix_of_word(system, word)
+    if len(word) % 2 == 0 or rows != matrix_of_word(system, word[::-1]):
+        return None
+    found = None
+    for k, s in enumerate(word):
+        b = system.simple_root(s)
+        for u in reversed(word[:k]):
+            b = system.reflect(b, u)
+        image = tuple(sum((a * x for a, x in zip(row, b)), system.zero) for row in rows)
+        if image == tuple(-x for x in b):
+            if found is not None:
+                return None
+            found = b
+    return found
 
 
 def reflection_census(system, max_length, cayley_bfs):
@@ -563,6 +599,26 @@ def shortlex_word_by_columns(system, inv_rows):
         inv_rows = _right_mul_gen(system, inv_rows, s)
         word.append(s)
     return tuple(word)
+
+
+def cayley_bfs_by_rows(system, max_length):
+    """(matrix, word) of every element of length at most max_length, in
+    the order of a breadth-first search that keys each element by its
+    own matrix and skips the right descents (negative columns) before
+    multiplying; the words are the shortlex normal forms."""
+    order = [(system._id_rows, ())]
+    seen = {system._id_rows}
+    for rows, word in order:  # the list grows while it is read
+        if len(word) >= max_length:
+            break
+        for s in range(system.rank):
+            if _column_is_negative(rows, s):
+                continue
+            nxt = _right_mul_gen(system, rows, s)
+            if nxt not in seen:
+                seen.add(nxt)
+                order.append((nxt, word + (s,)))
+    return order
 
 
 def automaton_by_sets(system, m, kind, limit=None):

@@ -277,11 +277,11 @@ def test_terms_past_the_digit_limit_exit_3(capsys, extra):
 
 
 def test_terms_guard_fires_at_the_first_long_coefficient():
-    """--terms far past the digit limit stops at the first coefficient
-    too long to print, with nothing computed past it.  The memory cap
-    and the timeout bound a run that expands every requested term
-    first."""
-    code, out, err = _coxkit("automaton", "U8", "--series", "--terms", "10000000",
+    """--terms at the report bound, far past the digit limit, stops at
+    the first coefficient too long to print, with nothing computed past
+    it.  The memory cap and the timeout bound a run that expands every
+    requested term first."""
+    code, out, err = _coxkit("automaton", "U8", "--series", "--terms", "1000000",
                              COXKIT_MAX_MEM="2000000000")
     assert (code, out) == (3, "")
     assert err.startswith("error: the coefficient of q^5089 has more than")
@@ -318,6 +318,29 @@ def test_parser_built_once_per_process(capsys, monkeypatch):
     assert len(builds) == 1
     cli._parser.cache_clear()
     assert build_parser() is not build_parser()
+
+
+@pytest.mark.parametrize("cap", ["abc", "-5", "0", "99999999999999999999999"])
+def test_mem_cap_accepts_only_a_positive_byte_count(cap):
+    """A cap that is not a positive integer setrlimit takes exits 2 with
+    one line, before any work; run in a fresh process, so that a cap
+    taken by mistake binds only that process."""
+    code, out, err = _coxkit("roots", "A2", "--max-depth", "1", COXKIT_MAX_MEM=cap)
+    assert (code, out) == (2, "")
+    assert err == "error: COXKIT_MAX_MEM must be an integer byte count\n"
+
+
+@pytest.mark.parametrize("argv", [("automaton", "A2", "--series", "--terms", "100000000"),
+                                  ("automaton", "A2", "--series", "--terms", "1000001",
+                                   "--json"),
+                                  ("affine", "~A2", "--terms", "1000001")])
+def test_terms_past_the_report_bound_exit_3(capsys, argv):
+    """More coefficients than a report prints exit 3 with one line,
+    before any coefficient is expanded."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == ("error: a report prints at most 1000000 coefficients, not %s; "
+                   "lower --terms\n" % argv[argv.index("--terms") + 1])
 
 
 def test_mem_cap_must_be_integer(capsys, monkeypatch):
@@ -671,10 +694,10 @@ def test_json_writer_prints_what_json_dumps_prints(capsys, argv):
     {"nested": [{"deep": [[True], {"x": None}]}], "n": -7},
 ])
 def test_json_writer_matches_json_dumps_on_edge_cases(obj):
-    assert cli._json(obj) == json.dumps(obj, indent=2)
-
-
-@pytest.mark.parametrize("obj", [1.5, [0.0], {"x": float("nan")}, {1: "int key"}, {"s": {1}}])
-def test_json_writer_rejects_other_types(obj):
-    with pytest.raises(TypeError):
-        cli._json(obj)
+    """The `automaton --json` template writer splices the series into
+    its report by indenting json.dumps of it; json.dumps writes no raw
+    newline inside a string, so any series object comes out as it would
+    nested in the whole report."""
+    dfa = build_automaton(CoxeterSystem(matrix=coxeter_matrix_from_descriptor("A1")), 0, "red")
+    assert cli._automaton_json(dfa, obj) == json.dumps({**dfa_to_obj(dfa), "series": obj},
+                                                       indent=2)

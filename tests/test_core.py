@@ -1,5 +1,7 @@
 """Group arithmetic, normal forms, and enumeration."""
 
+import collections
+import functools
 import random
 from fractions import Fraction
 
@@ -10,7 +12,8 @@ from coxkit.affine import affine_datum
 from coxkit.core import _plain, _shortlex_word
 from coxkit.field import AlgebraicNumber, bond_lcm
 from coxkit.roots import _descend
-from oracles import reduced_word_trie, shortlex_word_by_columns
+from oracles import cayley_bfs_by_rows, matrix_of_word, reduced_word_trie, \
+    reflection_root_by_rule, shortlex_word_by_columns
 
 
 def system(name):
@@ -139,13 +142,15 @@ FRACTION_GRAM = [[Fraction(3, 2), Fraction(-3, 4), 0],
                  [0, Fraction(-3, 2), 3]]
 
 
-@pytest.mark.parametrize("spec", ["A3", "B4", "H3", "F4", "~B3", "~G2", "U3",
-                                  "[[1,4,5],[4,1,7],[5,7,1]]", "fraction gram"])
-def test_normal_form_matches_column_stripping(spec):
-    """The normal form read off the column sums equals the one stripped
-    column by column from the whole inverse matrix, on the identity, on
-    words that multiply out to it and on random words, most of them not
-    reduced, for both matrices of each element."""
+ELEMENT_SPECS = ["A3", "B4", "H3", "F4", "~B3", "~G2", "U3", "[[1,4,5],[4,1,7],[5,7,1]]",
+                 "fraction gram"]
+
+
+@functools.cache
+def _sample(spec):
+    """A system and 200 words on it: the identity, a word that multiplies
+    out to it, and random words, most of them not reduced, every tenth a
+    word followed by its reversal."""
     if spec == "fraction gram":
         sysm = ck.CoxeterSystem(gram=FRACTION_GRAM)
     else:
@@ -155,11 +160,100 @@ def test_normal_form_matches_column_stripping(spec):
     while len(words) < 200:
         word = tuple(rng.randrange(sysm.rank) for _ in range(rng.randint(1, 12)))
         words.append(word + word[::-1] if len(words) % 10 == 0 else word)
+    return sysm, tuple(words)
+
+
+@pytest.mark.parametrize("spec", ELEMENT_SPECS)
+def test_normal_form_matches_column_stripping(spec):
+    """The normal form read off the column sums equals the one stripped
+    column by column from the whole inverse matrix, on the identity, on
+    words that multiply out to it and on random words, most of them not
+    reduced, for both matrices of each element."""
+    sysm, words = _sample(spec)
     for word in words:
         w = sysm.element(word)
         for rows in (w.inv_rows, w.rows):
             assert _shortlex_word(sysm, rows) == shortlex_word_by_columns(sysm, rows), word
     assert sysm.element(words[2] + words[2][::-1]).word == ()
+
+
+@pytest.mark.parametrize("spec", ELEMENT_SPECS)
+def test_rows_is_the_product_of_the_generator_matrices(spec):
+    """The matrix an element builds from its normal form is the plain
+    product of the generator matrices along any word of it, and so is
+    the matrix of its inverse along the reversed word."""
+    sysm, words = _sample(spec)
+    for word in words:
+        w = sysm.element(word)
+        assert w.rows == matrix_of_word(sysm, word), word
+        assert w.inverse().rows == matrix_of_word(sysm, word[::-1]), word
+
+
+@pytest.mark.parametrize("spec", ELEMENT_SPECS)
+def test_right_descents_are_the_letters_that_shorten(spec):
+    sysm, words = _sample(spec)
+    for word in words:
+        w = sysm.element(word)
+        assert w.right_descents() == tuple(
+            s for s in range(sysm.rank) if w.times_gen(s).length < w.length), word
+
+
+@pytest.mark.parametrize("spec", ELEMENT_SPECS)
+def test_inverse_product_and_equality_follow_the_normal_forms(spec):
+    """inverse() spells the reversed word, u * v the concatenation, and
+    two elements are equal, with equal hashes, exactly when their normal
+    forms are."""
+    sysm, words = _sample(spec)
+    elements = [sysm.element(word) for word in words]
+    for word, w in zip(words, elements):
+        assert w.inverse().word == sysm.element(word[::-1]).word, word
+        assert w.inverse().inverse() == w
+        twin = sysm.element(w.word)
+        assert twin == w and hash(twin) == hash(w)
+    rng = random.Random(spec + " pairs")
+    for _ in range(200):
+        i, j = rng.randrange(len(words)), rng.randrange(len(words))
+        u, v = elements[i], elements[j]
+        assert (u * v).word == sysm.element(words[i] + words[j]).word
+        assert (u == v) == (u.word == v.word)
+
+
+# radius of the ball: the longest element for the finite groups
+BFS_RADIUS = {"A3": 6, "B4": 16, "H3": 15, "F4": 24, "~B3": 7, "~G2": 9, "U3": 5,
+              "[[1,4,5],[4,1,7],[5,7,1]]": 5, "fraction gram": 7}
+
+
+@pytest.mark.parametrize("spec", ELEMENT_SPECS)
+def test_cayley_bfs_matches_the_search_by_matrices(spec):
+    """The ball keyed by inverse matrices lists the elements, words and
+    order of the search keyed by the elements' own matrices."""
+    sysm, _ = _sample(spec)
+    radius = BFS_RADIUS[spec]
+    got = ck.cayley_bfs(sysm, max_length=radius)
+    want = cayley_bfs_by_rows(sysm, radius)
+    assert [w.word for w in got] == [word for _, word in want]
+    assert all(w.rows == rows for w, (rows, _) in zip(got[::7], want[::7]))
+
+
+@pytest.mark.parametrize("spec", ELEMENT_SPECS)
+def test_is_reflection_matches_the_rule_of_two_matrices(spec):
+    """is_reflection, from one walk of the word, answers as the rule on
+    the element's matrix and the matrix of its inverse, on a ball, the
+    sampled words and conjugates of a generator, which are all
+    reflections."""
+    sysm, words = _sample(spec)
+    ball = ck.cayley_bfs(sysm, max_length=min(BFS_RADIUS[spec], 6))
+    elements = ball + [sysm.element(word) for word in words]
+    elements += [sysm.element(word + (len(word) % sysm.rank,) + word[::-1])
+                 for word in words[::4]]
+    kinds = collections.Counter()
+    for w in elements:
+        root = ck.is_reflection(w)
+        assert root == reflection_root_by_rule(sysm, w.word), w.word
+        kinds[root is not None, w.length % 2 == 1 and w.inverse() == w] += 1
+    assert kinds[True, True] > 0 and kinds[False, False] > 0
+    # odd involutions that are no reflection, such as the longest element of B3 in ~B3
+    assert kinds[False, True] > 0 or spec not in ("B4", "~B3")
 
 
 def test_length_is_inversion_count():
