@@ -7,12 +7,12 @@ Tracking one extra bit per state, whether the last letter moved the
 previous set entirely off itself, cuts the language down to reduced
 words of reflection-prefix elements.
 
-A state is keyed by its set, a bit mask over the m-small roots, and that
-bit, the bit always True for `red`; the transitions form one table: row
-i maps each letter to a state, or to None where the letter is a
-descent.  The states are numbered breadth-first, so the shortest
-elements of each small inversion set are read off the table's layers
-(`low_elements`).
+A state is one int key, the bit mask of its set of m-small roots
+shifted over that bit (always 1 for `red`), decoded only for a report
+(`Dfa.members`); the transitions form one table: row i maps each letter
+to a state, or to None at a descent.  The states are numbered
+breadth-first, so the shortest elements of each small inversion set are
+read off the table's layers (`low_elements`).
 """
 
 import functools
@@ -28,23 +28,25 @@ KINDS = ("red", "pref")
 class Dfa:
     """Deterministic automaton over the generators of one system.
 
-    states[i] is (sorted small-root indices, flag), the flag None for
-    `red`; table[i][s] is the target of letter s from state i, or None.
+    states[i] is state i's int key, its small-root bit mask over a final
+    flag bit, which members(i) decodes; table[i][s] is the target of
+    letter s from state i, or None.
     """
 
     __slots__ = ("system", "kind", "m", "poset", "states", "table", "finals",
-                 "initial", "set_count")
+                 "initial", "set_count", "_decode")
 
-    def __init__(self, system, kind, m, poset, states, table, finals):
+    def __init__(self, system, kind, m, poset, states, table):
         self.system = system
         self.kind = kind
         self.m = m
         self.poset = poset
         self.states = states
         self.table = table
-        self.finals = finals
+        self.finals = frozenset(i for i, key in enumerate(states) if key & 1)
         self.initial = 0
-        self.set_count = len({key for key, _ in states})
+        self.set_count = len({key >> 1 for key in states})
+        self._decode = [_byte_members(k) for k in range((max(states).bit_length() + 6) // 8)]
 
     def __repr__(self):
         return "Dfa(%s, m=%d, %d states)" % (self.kind, self.m, len(self.states))
@@ -58,10 +60,13 @@ class Dfa:
     def step(self, state, s):
         return self.table[state][s]
 
+    def members(self, i):
+        """The sorted small-root indices of state i's set."""
+        x = self.states[i] >> 1
+        return sum(map(getitem, self._decode, x.to_bytes(len(self._decode), "little")), ())
+
     def state_label(self, i):
-        key, _ = self.states[i]
-        labels = self.poset.labels()
-        return "{%s}" % ",".join(labels[j] for j in key)
+        return "{%s}" % ",".join(map(self.poset.labels().__getitem__, self.members(i)))
 
 
 def reflection_table(poset):
@@ -98,8 +103,8 @@ def build_automaton(system, m, kind="red", limit=None):
     A state is one int, the bit mask of its set of small-root indices
     shifted up over its flag bit.  The simple roots are indices
     0..rank-1, so s is a descent exactly when bit s of the mask is set.
-    Each mask is read once, byte by byte, into its sorted indices: the
-    state keeps them, and the masks of its images are summed over them.
+    Each mask is read once, byte by byte, into its sorted indices, and
+    the masks of its images are summed over them; only the key is kept.
     Raises LimitExceeded once more than `limit` m-small roots, or more
     than `limit` states, are found.
     """
@@ -119,13 +124,11 @@ def build_automaton(system, m, kind="red", limit=None):
     red = kind == "red"
     keys = [int(red)]
     ids = {keys[0]: 0}
-    states = []
     table = []
     # keys grows while the loop reads it: a breadth-first queue
     for key in keys:
         x = key >> 1
         members = sum(map(getitem, decode, x.to_bytes(nbytes, "little")), ())
-        states.append((members, None if red else bool(key & 1)))
         row = [None] * rank
         for s, image_bit in letters:
             if x >> s & 1:
@@ -141,8 +144,7 @@ def build_automaton(system, m, kind="red", limit=None):
                 keys.append(nkey)
             row[s] = dst
         table.append(tuple(row))
-    finals = frozenset(i for i, key in enumerate(keys) if key & 1)
-    return Dfa(system, kind, m, poset, states, table, finals)
+    return Dfa(system, kind, m, poset, keys, table)
 
 
 def accepts(dfa, word):
@@ -263,10 +265,10 @@ def dfa_to_obj(dfa):
         "set_states": dfa.set_count,
         "states": [
             {
-                "set": [labels[j] for j in key],
+                "set": [labels[j] for j in dfa.members(i)],
                 "final": i in dfa.finals,
             }
-            for i, (key, _) in enumerate(dfa.states)
+            for i in range(len(dfa.states))
         ],
         "transitions": [[src, s + 1, dst] for src, s, dst in dfa.transitions],
     }

@@ -92,11 +92,10 @@ def _automaton_json(dfa, series):
     indent=2), the series left out when None, one template per state and
     per transition."""
     names = [encode_basestring_ascii(label) for label in dfa.poset.labels()]
-    finals = dfa.finals
     states = ",".join(
-        _STATE_JSON % ("[\n        %s\n      ]" % ",\n        ".join([names[j] for j in key])
-                       if key else "[]", "true" if i in finals else "false")
-        for i, (key, _) in enumerate(dfa.states))
+        _STATE_JSON % ("[\n        %s\n      ]" % ",\n        ".join([names[j] for j in members])
+                       if members else "[]", "true" if i in dfa.finals else "false")
+        for i, members in enumerate(map(dfa.members, range(len(dfa.states)))))
     transitions = ",".join(
         _TRANSITION_JSON % (i, s + 1, dst)
         for i, row in enumerate(dfa.table) for s, dst in enumerate(row) if dst is not None)

@@ -27,7 +27,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import inf
-from operator import mul
+from operator import add, mul
 
 from .field import AlgebraicNumber, CyclotomicField, _primes, bond_lcm, exact, sign
 
@@ -307,10 +307,10 @@ def _half(x):
     return exact(x / 2)
 
 
-def _inversions(system, word):
-    """The matrix of the element of a reduced word, and its inversions
-    in word order, from one walk of the word."""
-    rows = system._id_rows
+def _inversions(system, word, rows=None):
+    """The matrix of the element of a reduced word and its inversions in
+    word order, from one walk of the word (of the given identity rows)."""
+    rows = system._id_rows if rows is None else rows
     out = []
     for s in word:
         out.append(tuple(row[s] for row in rows))
@@ -596,18 +596,21 @@ def is_reflection(w):
     """The positive root negated by w, or None.
 
     An involution is a reflection exactly when it negates a single
-    positive root, so the check and the root come out together.  One
-    walk of the word gives w's matrix and its inversions.
+    positive root, so the check and the root come out together.  Row 0
+    of w's matrix is walked first: most non-involutions differ there.
     """
     if w.length % 2 == 0:
         return None
-    rows, inversions = _inversions(w.system, w.word)
-    if rows != w.inv_rows:
+    row0, coord0 = _inversions(w.system, w.word, w.system._id_rows[:1])
+    if row0[0] != w.inv_rows[0]:
+        return None
+    rest, coords = _inversions(w.system, w.word, w.system._id_rows[1:])
+    if row0 + rest != w.inv_rows:
         return None
     dot = w.system._dot
     found = None
-    for b in inversions:
-        if all(dot(row, b) == -x for row, x in zip(rows, b)):
+    for b in map(add, coord0, coords):
+        if all(dot(row, b) == -x for row, x in zip(w.inv_rows, b)):
             if found is not None:
                 return None
             found = b

@@ -195,7 +195,7 @@ def low_elements_by_search(system, m, limit=None):
     from coxkit.core import cayley_bfs
 
     dfa = build_automaton(system, m, "red", limit=limit)
-    targets = {key for key, _ in dfa.states}
+    targets = set(map(dfa.members, range(len(dfa.states))))
     small = dfa.poset.index
     found = {}
     depth = 4
@@ -625,7 +625,8 @@ def automaton_by_sets(system, m, kind, limit=None):
     """build_automaton with each state held as (frozenset of m-small
     root indices, flag) and each transition's image set built root by
     root from the reflection table; the same breadth-first numbering,
-    limit and messages."""
+    limit and messages.  The sets are encoded as int keys, bit b + 1
+    for root b over the flag bit, only once the automaton is built."""
     poset = root_poset(system, msmall=m, limit=limit)
     images = reflection_table(poset)
     red = kind == "red"
@@ -651,9 +652,8 @@ def automaton_by_sets(system, m, kind, limit=None):
                 states.append(nkey)
             row[s] = dst
         table.append(tuple(row))
-    out = [(tuple(sorted(xset)), None if red else flag) for xset, flag in states]
-    finals = frozenset(i for i, (_, flag) in enumerate(states) if flag)
-    return Dfa(system, kind, m, poset, out, table, finals)
+    keys = [sum(2 << b for b in xset) | flag for xset, flag in states]
+    return Dfa(system, kind, m, poset, keys, table)
 
 
 def dominates(system, beta, alpha):

@@ -2,6 +2,7 @@
 
 import json
 import time
+import tracemalloc
 
 import pytest
 
@@ -60,8 +61,40 @@ def test_transitions_deterministic_and_total_on_states():
 
 def test_pref_finals_carry_the_flag():
     dfa = build_automaton(system("~A2"), 0, "pref")
-    for i, (key, flag) in enumerate(dfa.states):
-        assert (i in dfa.finals) == bool(flag)
+    for i, key in enumerate(dfa.states):
+        assert (i in dfa.finals) == bool(key & 1)
+
+
+@pytest.mark.parametrize("spec, m", [("A2", 0), ("~A2", 2), ("B4", 1), ("D5", 0)])
+def test_members_decode_the_key_bits(spec, m):
+    """members(i) lists the bits of state i's key above its flag bit,
+    across byte boundaries (D5 has 20 positive roots), and the state's
+    label names those roots."""
+    sysm = system(spec)
+    for kind in KINDS:
+        dfa = build_automaton(sysm, m, kind)
+        labels = dfa.poset.labels()
+        for i, key in enumerate(dfa.states):
+            bits = tuple(j for j in range(len(dfa.poset)) if key >> j + 1 & 1)
+            assert key >> 1 + len(dfa.poset) == 0
+            assert dfa.members(i) == bits
+            assert dfa.state_label(i) == "{%s}" % ",".join(labels[j] for j in bits)
+
+
+def test_built_automaton_keeps_its_keys_only():
+    """A built automaton keeps one int per state and its table, not a
+    decoded set: after a warm-up build, a second build of E6's 51,840
+    states and its result retain under 16 MB."""
+    sysm = system("E6")
+    build_automaton(sysm, 0)
+    tracemalloc.start()
+    try:
+        dfa = build_automaton(sysm, 0)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(dfa.states) == 51840
+    assert retained < 16_000_000, retained
 
 
 def test_larger_m_same_language():

@@ -639,7 +639,7 @@ def test_labels_match_reference(capsys, spec, depth, m):
     small = [reference_label(r.coords) for r in dfa.poset.roots]
     code, out, _ = run(capsys, "automaton", spec, "--m", str(m), "--json")
     assert code == 0
-    sets = [[small[j] for j in key] for key, _ in dfa.states]
+    sets = [[small[j] for j in dfa.members(i)] for i in range(len(dfa.states))]
     assert [state["set"] for state in json.loads(out)["states"]] == sets
     assert [dfa.state_label(i) for i in range(len(sets))] == \
         ["{%s}" % ",".join(labels) for labels in sets]

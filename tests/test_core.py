@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import coxkit as ck
+from coxkit import core
 from coxkit.affine import affine_datum
 from coxkit.core import _plain, _shortlex_word
 from coxkit.field import AlgebraicNumber, bond_lcm
@@ -237,7 +238,7 @@ def test_cayley_bfs_matches_the_search_by_matrices(spec):
 
 @pytest.mark.parametrize("spec", ELEMENT_SPECS)
 def test_is_reflection_matches_the_rule_of_two_matrices(spec):
-    """is_reflection, from one walk of the word, answers as the rule on
+    """is_reflection, from the walk of the word, answers as the rule on
     the element's matrix and the matrix of its inverse, on a ball, the
     sampled words and conjugates of a generator, which are all
     reflections."""
@@ -254,6 +255,21 @@ def test_is_reflection_matches_the_rule_of_two_matrices(spec):
     assert kinds[True, True] > 0 and kinds[False, False] > 0
     # odd involutions that are no reflection, such as the longest element of B3 in ~B3
     assert kinds[False, True] > 0 or spec not in ("B4", "~B3")
+
+
+def test_is_reflection_stops_a_non_involution_after_row_0(monkeypatch):
+    """An odd-length element that is no involution is told apart by row
+    0 of its matrix, walked alone, before the rest of the word's walk;
+    a reflection walks the other rows once, and nothing twice."""
+    sysm = system("H3")
+    real = core._inversions
+    calls = []
+    monkeypatch.setattr(core, "_inversions", lambda *args: calls.append(args[2:]) or real(*args))
+    assert ck.is_reflection(sysm.element((0, 1, 2))) is None
+    assert calls == [(sysm._id_rows[:1],)]
+    calls.clear()
+    assert ck.is_reflection(sysm.element((0, 1, 0))) is not None
+    assert calls == [(sysm._id_rows[:1],), (sysm._id_rows[1:],)]
 
 
 def test_length_is_inversion_count():

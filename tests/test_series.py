@@ -283,7 +283,7 @@ def test_finite_language_with_a_dead_cycle_is_its_count_polynomial(monkeypatch):
     monkeypatch.setattr(series, "berlekamp_massey", _no_berlekamp_massey)
     # accepts the empty word and "1"; the letter 2 leads into the cycle 2 <-> 3
     table = [(1, 2), (None, None), (3, None), (None, 2)]
-    dfa = Dfa(None, "red", 0, None, [((), None)] * 4, table, frozenset({0, 1}))
+    dfa = Dfa(None, "red", 0, None, [1, 1, 0, 0], table)
     gf = dfa_series(dfa)
     assert (gf.num, gf.den) == (P(1, 1), P(1))
 
@@ -292,7 +292,7 @@ def test_lumping_keeps_final_and_non_final_states_apart():
     """States 1 (final) and 2 (not final) both lead back to 0, so only
     their finality tells them apart: c_2k = c_2k+1 = 2^k."""
     table = [(1, 2), (0, None), (0, None)]
-    dfa = Dfa(None, "red", 0, None, [((), None)] * 3, table, frozenset({0, 1}))
+    dfa = Dfa(None, "red", 0, None, [1, 1, 0], table)
     assert sorted(lump(dfa)[0]) == [0, 1, 2]
     assert dfa_series(dfa) == RationalSeries(P(1, 1), P(1, 0, -2)) == _general_series(dfa)
 
