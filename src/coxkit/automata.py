@@ -29,12 +29,14 @@ class Dfa:
     """Deterministic automaton over the generators of one system.
 
     states[i] is state i's int key, its small-root bit mask over a final
-    flag bit, which members(i) decodes; table[i][s] is the target of
-    letter s from state i, or None.
+    flag bit, which members(i) and final(i) decode; table[i][s] is the
+    target of letter s from state i, or None.
     """
 
-    __slots__ = ("system", "kind", "m", "poset", "states", "table", "finals",
-                 "initial", "set_count", "_decode")
+    __slots__ = ("system", "kind", "m", "poset", "states", "table")
+
+    # the breadth-first numbering reads the start state first
+    initial = 0
 
     def __init__(self, system, kind, m, poset, states, table):
         self.system = system
@@ -43,10 +45,6 @@ class Dfa:
         self.poset = poset
         self.states = states
         self.table = table
-        self.finals = frozenset(i for i, key in enumerate(states) if key & 1)
-        self.initial = 0
-        self.set_count = len({key >> 1 for key in states})
-        self._decode = [_byte_members(k) for k in range((max(states).bit_length() + 6) // 8)]
 
     def __repr__(self):
         return "Dfa(%s, m=%d, %d states)" % (self.kind, self.m, len(self.states))
@@ -57,16 +55,24 @@ class Dfa:
         return [(i, s, dst) for i, row in enumerate(self.table)
                 for s, dst in enumerate(row) if dst is not None]
 
-    def step(self, state, s):
-        return self.table[state][s]
+    @property
+    def set_count(self):
+        return len({key >> 1 for key in self.states})
+
+    def final(self, i):
+        return self.states[i] & 1 == 1
 
     def members(self, i):
         """The sorted small-root indices of state i's set."""
-        x = self.states[i] >> 1
-        return sum(map(getitem, self._decode, x.to_bytes(len(self._decode), "little")), ())
+        return _decoder(len(self.poset))(self.states[i] >> 1)
 
     def state_label(self, i):
         return "{%s}" % ",".join(map(self.poset.labels().__getitem__, self.members(i)))
+
+
+def _flags(dfa):
+    """final(i) of every state i, as 1 or 0, in state order."""
+    return [key & 1 for key in dfa.states]
 
 
 def reflection_table(poset):
@@ -97,6 +103,13 @@ def _byte_members(k):
     return [tuple(8 * k + p for p in range(8) if v >> p & 1) for v in range(256)]
 
 
+@functools.cache
+def _decoder(nbits):
+    """Decode a mask below 2**nbits into its set bits' indices, ascending."""
+    tables = [_byte_members(k) for k in range((nbits + 7) // 8)]
+    return lambda x: sum(map(getitem, tables, x.to_bytes(len(tables), "little")), ())
+
+
 def build_automaton(system, m, kind="red", limit=None):
     """Breadth-first construction over subsets of the m-small roots.
 
@@ -115,8 +128,7 @@ def build_automaton(system, m, kind="red", limit=None):
     for s in range(rank):
         if poset.depths[s] != 0:
             raise ArithmeticError("small-root enumeration lost a simple root")
-    nbytes = (len(poset) + 7) // 8
-    decode = [_byte_members(k) for k in range(nbytes)]
+    decode = _decoder(len(poset))
     # s maps distinct roots to distinct roots, so the sum of their image
     # bits is the mask of the image set
     letters = [(s, [0 if i is None else 1 << i for i in img].__getitem__)
@@ -128,7 +140,7 @@ def build_automaton(system, m, kind="red", limit=None):
     # keys grows while the loop reads it: a breadth-first queue
     for key in keys:
         x = key >> 1
-        members = sum(map(getitem, decode, x.to_bytes(nbytes, "little")), ())
+        members = decode(x)
         row = [None] * rank
         for s, image_bit in letters:
             if x >> s & 1:
@@ -148,25 +160,26 @@ def build_automaton(system, m, kind="red", limit=None):
 
 
 def accepts(dfa, word):
-    """Run the automaton on a word of 0-based letters."""
+    """Run the automaton on a word of 0-based letters; one out of range raises ValueError."""
     state = dfa.initial
     for s in word:
-        state = dfa.step(state, s)
-        if state is None:
-            return False
-    return state in dfa.finals
+        if not 0 <= s < dfa.system.rank:
+            raise ValueError("letter index %r out of range" % (s,))
+        if state is not None:
+            state = dfa.table[state][s]
+    return state is not None and dfa.final(state)
 
 
-def _count_words(table, finals, initial, n):
-    """Accepted-word counts for lengths 0..n-1 of a table whose rows list
-    targets, None for a missing letter and a target once per letter.
-    The walk keeps the number of words reaching each state; once no
-    state is reached, no longer word is accepted.
+def _count_words(table, final, n):
+    """Accepted-word counts for lengths 0..n-1 from state 0 of a table
+    whose rows list targets, one per letter or None, with final[i] true
+    at accepting states.  The walk keeps the number of words reaching
+    each state; once no state is reached, no longer word is accepted.
     """
-    frontier = {initial: 1}
+    frontier = {0: 1}
     out = []
     while frontier and len(out) < n:
-        out.append(sum(c for i, c in frontier.items() if i in finals))
+        out.append(sum(c for i, c in frontier.items() if final[i]))
         nxt = {}
         for i, c in frontier.items():
             for j in table[i]:
@@ -178,24 +191,29 @@ def _count_words(table, finals, initial, n):
 
 def count_by_length(dfa, max_len):
     """Accepted-word counts for lengths 0..max_len."""
-    return _count_words(dfa.table, dfa.finals, dfa.initial, max_len + 1)
+    return _count_words(dfa.table, _flags(dfa), max_len + 1)
 
 
 def lump(dfa):
-    """The coarsest count-preserving partition, as (block, rows).
+    """The coarsest count-preserving partition of the states (_lump)."""
+    return _lump(dfa.table, _flags(dfa))
+
+
+def _lump(table, final):
+    """The coarsest count-preserving partition, as (block, rows), of a
+    table whose states have the flags final[i].
 
     Moore rounds from {final, non-final}: each round splits a block by
     the multiset of its states' successor blocks, letters ignored, and
     stops once no block splits.  Every state of a block then has the
     same finality and the same number of transitions into each block.
-    Every round numbers the blocks 0..p-1 by their first state, so the
-    last round's keys give rows[b]: the sorted blocks that the
-    transitions of any state of block b lead to, one per transition.
+    The seed and every round number the blocks 0..p-1 by their first
+    state, so block 0 holds state 0, and the last round's keys give
+    rows[b]: the sorted blocks that the transitions of any state of
+    block b lead to, one per transition.
     """
-    table = dfa.table
-    finals = dfa.finals
     ids = {}
-    block = [ids.setdefault(i in finals, len(ids)) for i in range(len(table))]
+    block = [ids.setdefault(flag, len(ids)) for flag in final]
     count = len(ids)
     while True:
         ids = {}
@@ -243,7 +261,7 @@ def dfa_to_dot(dfa):
     ]
     for i in range(len(dfa.states)):
         attrs = ['label="%s"' % dfa.state_label(i)]
-        if i not in dfa.finals:
+        if not dfa.final(i):
             attrs.append("style=filled")
             attrs.append("fillcolor=gray85")
         if i == dfa.initial:
@@ -266,7 +284,7 @@ def dfa_to_obj(dfa):
         "states": [
             {
                 "set": [labels[j] for j in dfa.members(i)],
-                "final": i in dfa.finals,
+                "final": dfa.final(i),
             }
             for i in range(len(dfa.states))
         ],

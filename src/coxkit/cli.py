@@ -19,10 +19,11 @@ import io
 import json
 import os
 import sys
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 
 from .affine import affine_datum, affine_to_obj
-from .automata import KINDS, build_automaton, dfa_to_dot
+from .automata import KINDS, _flags, build_automaton, dfa_to_dot
 from .core import CoxeterSystem, DomainError, LimitExceeded, \
     coxeter_matrix_from_descriptor, format_word, parse_word
 from .dihedral import canonical_generators
@@ -60,6 +61,20 @@ def _print_series(name, obj, out):
     out.write("%s coefficients: %s\n" % (name, obj["coefficients"]))
 
 
+# the most items of a report list that one write carries
+_CHUNK = 1000
+
+
+def _write_list(out, texts):
+    """Write a report's list as json.dumps(report, indent=2) does, from
+    its items' texts, each on lines of its own, _CHUNK items a write."""
+    sep = "["
+    for chunk in iter(lambda: ",".join(islice(texts, _CHUNK)), ""):
+        out.write(sep + chunk)
+        sep = ","
+    out.write("[]" if sep == "[" else "\n  ]")
+
+
 # one root and one cover of a `roots --json` report, as json.dumps(obj, indent=2)
 # writes them inside the report's lists
 _ROOT_JSON = ('\n    {\n      "label": %s,\n      "coords": [\n        %s\n      ],'
@@ -67,19 +82,18 @@ _ROOT_JSON = ('\n    {\n      "label": %s,\n      "coords": [\n        %s\n     
 _COVER_JSON = '\n    [\n      %s,\n      %s,\n      %d,\n      %s\n    ]'
 
 
-def _roots_json(system, max_depth, poset):
-    """The text of json.dumps(report, indent=2) for the `roots` report,
-    one template per root and per cover."""
-    enc = encode_basestring_ascii
-    names = [enc(label) for label in poset.labels()]
-    roots = ",".join(
-        _ROOT_JSON % (name, ",\n        ".join(map(enc, text)), d, dpinf)
-        for name, text, d, dpinf in zip(names, poset.coord_texts(), poset.depths, poset.dpinfs))
-    covers = ",".join(
-        _COVER_JSON % (names[lo], names[hi], s + 1, "true" if longe else "false")
-        for lo, hi, s, longe in poset.edges)
-    return ('{\n  "rank": %d,\n  "max_depth": %d,\n  "roots": [%s\n  ],\n  "covers": %s\n}'
-            % (system.rank, max_depth, roots, "[%s\n  ]" % covers if covers else "[]"))
+def _write_roots_json(out, system, max_depth, poset):
+    """Write json.dumps(report, indent=2) of the `roots` report and a
+    newline, one template per root and per cover."""
+    names = list(map(encode_basestring_ascii, poset.labels()))
+    out.write('{\n  "rank": %d,\n  "max_depth": %d,\n  "roots": ' % (system.rank, max_depth))
+    _write_list(out, (
+        _ROOT_JSON % (name, ",\n        ".join(map(encode_basestring_ascii, text)), d, dpinf)
+        for name, text, d, dpinf in zip(names, poset.coord_texts(), poset.depths, poset.dpinfs)))
+    out.write(',\n  "covers": ')
+    _write_list(out, (_COVER_JSON % (names[lo], names[hi], s + 1, "true" if longe else "false")
+                      for lo, hi, s, longe in poset.edges))
+    out.write("\n}\n")
 
 
 # one state and one transition of an `automaton --json` report, likewise
@@ -87,24 +101,22 @@ _STATE_JSON = '\n    {\n      "set": %s,\n      "final": %s\n    }'
 _TRANSITION_JSON = '\n    [\n      %d,\n      %d,\n      %d\n    ]'
 
 
-def _automaton_json(dfa, series):
-    """The text of json.dumps({**dfa_to_obj(dfa), "series": series},
-    indent=2), the series left out when None, one template per state and
-    per transition."""
-    names = [encode_basestring_ascii(label) for label in dfa.poset.labels()]
-    states = ",".join(
+def _write_automaton_json(out, dfa, series):
+    """Write json.dumps({**dfa_to_obj(dfa), "series": series}, indent=2),
+    the series left out when None, and a newline, likewise."""
+    names = list(map(encode_basestring_ascii, dfa.poset.labels()))
+    out.write('{\n  "kind": %s,\n  "m": %d,\n  "initial": %d,\n  "set_states": %d,\n  "states": '
+              % (encode_basestring_ascii(dfa.kind), dfa.m, dfa.initial, dfa.set_count))
+    _write_list(out, (
         _STATE_JSON % ("[\n        %s\n      ]" % ",\n        ".join([names[j] for j in members])
-                       if members else "[]", "true" if i in dfa.finals else "false")
-        for i, members in enumerate(map(dfa.members, range(len(dfa.states)))))
-    transitions = ",".join(
-        _TRANSITION_JSON % (i, s + 1, dst)
-        for i, row in enumerate(dfa.table) for s, dst in enumerate(row) if dst is not None)
-    return ('{\n  "kind": %s,\n  "m": %d,\n  "initial": %d,\n  "set_states": %d,'
-            '\n  "states": [%s\n  ],\n  "transitions": %s%s\n}'
-            % (encode_basestring_ascii(dfa.kind), dfa.m, dfa.initial, dfa.set_count, states,
-               "[%s\n  ]" % transitions if transitions else "[]",
-               "" if series is None else ',\n  "series": '
-               + json.dumps(series, indent=2).replace("\n", "\n  ")))
+                       if members else "[]", "true" if dfa.final(i) else "false")
+        for i, members in enumerate(map(dfa.members, range(len(dfa.states))))))
+    out.write(',\n  "transitions": ')
+    _write_list(out, (_TRANSITION_JSON % (i, s + 1, dst) for i, row in enumerate(dfa.table)
+                      for s, dst in enumerate(row) if dst is not None))
+    if series is not None:
+        out.write(',\n  "series": ' + json.dumps(series, indent=2).replace("\n", "\n  "))
+    out.write("\n}\n")
 
 
 def cmd_roots(args, out):
@@ -113,7 +125,7 @@ def cmd_roots(args, out):
     if args.dot:
         _write_file(args.dot, poset.to_dot())
     if args.json:
-        out.write(_roots_json(system, args.max_depth, poset) + "\n")
+        _write_roots_json(out, system, args.max_depth, poset)
         return 0
     labels = poset.labels()
     up = poset.up if args.poset else None
@@ -142,11 +154,11 @@ def cmd_automaton(args, out):
         _write_file(args.dot, dfa_to_dot(dfa))
     series = dfa_series(dfa).to_obj(args.terms) if args.series else None
     if args.json:
-        out.write(_automaton_json(dfa, series) + "\n")
+        _write_automaton_json(out, dfa, series)
         return 0
     out.write("kind=%s m=%d\n" % (dfa.kind, dfa.m))
     out.write("states: %d (distinct small sets: %d), final: %d, transitions: %d\n"
-              % (len(dfa.states), dfa.set_count, len(dfa.finals),
+              % (len(dfa.states), dfa.set_count, sum(_flags(dfa)),
                  sum(len(row) - row.count(None) for row in dfa.table)))
     if series is not None:
         _print_series("series", series, out)

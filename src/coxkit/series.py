@@ -14,7 +14,7 @@ import sys
 from collections import deque
 from operator import index, mul
 
-from .automata import _count_words, lump
+from .automata import _count_words, _flags, _lump
 from .core import LimitExceeded
 from .field import _in_power, _poly_mul_into, _poly_trim
 
@@ -288,15 +288,14 @@ def dfa_series(dfa):
     When every transition leads to a later state in breadth-first order
     (every finite group), the table is the automaton's own: its walk is
     linear, and the refinement would cost more than it saves.  Otherwise
-    it is the quotient (`lump`): with P the n x p indicator matrix of
+    it is the quotient (`_lump`): with P the n x p indicator matrix of
     its blocks, A P = P A', f = P f' and u' = u P, so
     c_k = u A^k P f' = u P A'^k f' = u' A'^k f'.
     """
-    table, finals, initial = dfa.table, dfa.finals, dfa.initial
+    table, final = dfa.table, _flags(dfa)
     if not all(j > i for i, row in enumerate(table) for j in row if j is not None):
-        block, table = lump(dfa)
-        finals = {block[i] for i in finals}
-        initial = block[initial]
+        block, table = _lump(table, final)
+        final = dict(zip(block, final))
     p = len(table)
-    counts = _count_words(table, finals, initial, 2 * p + 5)
+    counts = _count_words(table, final, 2 * p + 5)
     return RationalSeries._reduced(*_from_coefficients(counts, p))

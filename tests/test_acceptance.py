@@ -77,17 +77,17 @@ def test_automata_recognize_reduced_and_prefix_languages():
         for word, el in reduced_word_trie(sysm, 10):
             state = red.initial
             for s in word:
-                state = red.step(state, s)
-            assert state is not None and state in red.finals
+                state = red.table[state][s]
+            assert state is not None and red.final(state)
             # a descent letter kills the run in every automaton
             descents = set(el.right_descents())
             pstate = prefs[0].initial
             for s in word:
-                pstate = prefs[0].step(pstate, s)
+                pstate = prefs[0].table[pstate][s]
             for s in range(sysm.rank):
                 if s in descents and len(word) < 10:
-                    assert red.step(state, s) is None
-                    assert prefs[0].step(pstate, s) is None
+                    assert red.table[state][s] is None
+                    assert prefs[0].table[pstate][s] is None
             if word:
                 want = prefix_word_brute(sysm, word, el)
                 for m in (0, 1, 2):

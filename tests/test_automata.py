@@ -19,6 +19,20 @@ def system(name):
     return ck.CoxeterSystem(matrix=ck.preset(name))
 
 
+def test_accepts_rejects_a_letter_out_of_range():
+    """accepts checks each letter as CoxeterSystem.element does, rather
+    than reading -1 as the last letter or failing on an index."""
+    pref = build_automaton(system("A2"), 0, "pref")
+    for word in [(-1,), (2,)]:
+        with pytest.raises(ValueError, match=r"^letter index %d out of range$" % word[0]):
+            accepts(pref, word)
+        with pytest.raises(ValueError, match=r"^letter index %d out of range$" % word[0]):
+            pref.system.element(word)
+    # a dead run still reads, and checks, the rest of the word
+    with pytest.raises(ValueError):
+        accepts(pref, (0, 0, 2))
+
+
 def test_red_accepts_empty_pref_does_not():
     sysm = system("A2")
     red = build_automaton(sysm, 0, "red")
@@ -56,13 +70,13 @@ def test_transitions_deterministic_and_total_on_states():
         assert (src, s) not in seen
         seen.add((src, s))
         assert 0 <= dst < len(dfa.states)
-        assert dfa.step(src, s) == dst
+        assert dfa.table[src][s] == dst
 
 
 def test_pref_finals_carry_the_flag():
     dfa = build_automaton(system("~A2"), 0, "pref")
     for i, key in enumerate(dfa.states):
-        assert (i in dfa.finals) == bool(key & 1)
+        assert dfa.final(i) == bool(key & 1)
 
 
 @pytest.mark.parametrize("spec, m", [("A2", 0), ("~A2", 2), ("B4", 1), ("D5", 0)])
@@ -83,8 +97,9 @@ def test_members_decode_the_key_bits(spec, m):
 
 def test_built_automaton_keeps_its_keys_only():
     """A built automaton keeps one int per state and its table, not a
-    decoded set: after a warm-up build, a second build of E6's 51,840
-    states and its result retain under 16 MB."""
+    decoded set or a second copy of its final flags: after a warm-up
+    build, a second build of E6's 51,840 states and its result retain
+    under 11 MB."""
     sysm = system("E6")
     build_automaton(sysm, 0)
     tracemalloc.start()
@@ -94,7 +109,7 @@ def test_built_automaton_keeps_its_keys_only():
     finally:
         tracemalloc.stop()
     assert len(dfa.states) == 51840
-    assert retained < 16_000_000, retained
+    assert retained < 11_000_000, retained
 
 
 def test_larger_m_same_language():
@@ -242,7 +257,7 @@ def test_lump_is_a_stable_partition(spec, m):
         for i, row in enumerate(dfa.table):
             succ = tuple(sorted(block[j] for j in row if j is not None))
             assert rows[block[i]] == succ, (spec, kind, i)
-            sig = (i in dfa.finals, succ)
+            sig = (dfa.final(i), succ)
             assert seen.setdefault(block[i], sig) == sig, (spec, kind, i)
 
 
@@ -267,8 +282,9 @@ def test_bit_mask_states_match_the_frozenset_automaton(spec, m):
                 build_automaton(sysm, m, kind, ORACLE_CAP)
             continue
         got = build_automaton(sysm, m, kind, ORACLE_CAP)
-        assert (got.states, got.table, got.finals, got.set_count) == \
-            (want.states, want.table, want.finals, want.set_count), kind
+        flags = [list(map(dfa.final, range(len(dfa.states)))) for dfa in (got, want)]
+        assert (got.states, got.table, flags[0], got.set_count) == \
+            (want.states, want.table, flags[1], want.set_count), kind
         cap = len(want.states) - 1
         messages = []
         for build in (build_automaton, automaton_by_sets):

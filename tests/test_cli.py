@@ -3,9 +3,11 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -699,5 +701,83 @@ def test_json_writer_matches_json_dumps_on_edge_cases(obj):
     newline inside a string, so any series object comes out as it would
     nested in the whole report."""
     dfa = build_automaton(CoxeterSystem(matrix=coxeter_matrix_from_descriptor("A1")), 0, "red")
-    assert cli._automaton_json(dfa, obj) == json.dumps({**dfa_to_obj(dfa), "series": obj},
-                                                       indent=2)
+    writes = []
+    cli._write_automaton_json(SimpleNamespace(write=writes.append), dfa, obj)
+    assert "".join(writes) == json.dumps({**dfa_to_obj(dfa), "series": obj}, indent=2) + "\n"
+
+
+def _most_items_in_a_write(writes):
+    """The most list items that one write starts: in both template
+    reports an item of a list starts on a line indented by four."""
+    return max(len(re.findall(r"\n    [\[{]", text)) for text in writes)
+
+
+def test_automaton_json_writer_writes_a_chunk_at_a_time():
+    """Past one chunk (~C4 at m = 0: 6,561 states, 18,225 transitions),
+    the writes join to json.dumps of the report, and none carries more
+    than one chunk of states or transitions."""
+    dfa = build_automaton(CoxeterSystem(matrix=coxeter_matrix_from_descriptor("~C4")), 0, "red")
+    assert (len(dfa.states), len(dfa.transitions)) == (6561, 18225)
+    writes = []
+    cli._write_automaton_json(SimpleNamespace(write=writes.append), dfa, None)
+    assert "".join(writes) == json.dumps(dfa_to_obj(dfa), indent=2) + "\n"
+    assert _most_items_in_a_write(writes) <= cli._CHUNK < len(dfa.states)
+
+
+def test_roots_json_writer_writes_a_chunk_at_a_time():
+    """Past one chunk (`roots U3 --max-depth 10`: 6,141 roots, 6,138
+    covers), the writes join to json.dumps of the report, and none
+    carries more than one chunk of roots or covers."""
+    sysm = CoxeterSystem(matrix=coxeter_matrix_from_descriptor("U3"))
+    poset = root_poset(sysm, max_depth=10)
+    labels = poset.labels()
+    report = {
+        "rank": 3,
+        "max_depth": 10,
+        "roots": [{"label": label, "coords": [str(c) for c in r.coords], "depth": d,
+                   "dp_inf": dpinf}
+                  for label, r, d, dpinf in zip(labels, poset.roots, poset.depths, poset.dpinfs)],
+        "covers": [[labels[lo], labels[hi], s + 1, longe] for lo, hi, s, longe in poset.edges],
+    }
+    assert (len(report["roots"]), len(report["covers"])) == (6141, 6138)
+    writes = []
+    cli._write_roots_json(SimpleNamespace(write=writes.append), sysm, 10, poset)
+    assert "".join(writes) == json.dumps(report, indent=2) + "\n"
+    assert _most_items_in_a_write(writes) <= cli._CHUNK < len(report["covers"])
+
+
+class _OutOfMemoryAfter(list):
+    """A stdout that takes `ok` writes, then raises MemoryError, as a
+    write under COXKIT_MAX_MEM can."""
+
+    def __init__(self, ok):
+        super().__init__()
+        self.ok = ok
+
+    def write(self, text):
+        if len(self) == self.ok:
+            raise MemoryError
+        self.append(text)
+
+    def flush(self):
+        pass
+
+
+def test_a_report_cut_by_a_memory_error_exits_3_with_one_line(capsys, monkeypatch):
+    """A template report goes out a chunk at a time, so a MemoryError in
+    its second chunk (D5: 1,920 states) leaves the header and the first
+    chunk on stdout; the exit code and the one stderr line say that the
+    report is cut, as when nothing was written."""
+    argv = ["automaton", "D5", "--json"]
+    code, full, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    dfa = build_automaton(CoxeterSystem(matrix=coxeter_matrix_from_descriptor("D5")), 0, "red")
+    assert len(dfa.states) > cli._CHUNK
+    with pytest.raises(MemoryError):
+        cli._write_automaton_json(_OutOfMemoryAfter(2), dfa, None)
+    out = _OutOfMemoryAfter(2)
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(argv) == 3
+    assert capsys.readouterr().err == "error: memory cap exceeded\n"
+    assert len(out) == 2 and full.startswith("".join(out))
+    assert _most_items_in_a_write(out) == cli._CHUNK

@@ -297,6 +297,20 @@ def test_lumping_keeps_final_and_non_final_states_apart():
     assert dfa_series(dfa) == RationalSeries(P(1, 1), P(1, 0, -2)) == _general_series(dfa)
 
 
+@pytest.mark.parametrize("keys, num", [([1, 0], P(1)), ([0, 1], P(0, 1))])
+def test_lumping_numbers_the_blocks_by_their_first_state(keys, num):
+    """A 2-cycle is stable from the seed {final, non-final} on, so the
+    rows come from the first round: block ids must be numbered by first
+    state there too, whichever of the two states is final."""
+    table = [(1,), (0,)]
+    dfa = Dfa(None, "red", 0, None, keys, table)
+    block, rows = lump(dfa)
+    assert block == [0, 1]
+    for i, row in enumerate(table):
+        assert rows[block[i]] == tuple(sorted(block[j] for j in row))
+    assert dfa_series(dfa) == RationalSeries(num, P(1, 0, -1)) == _general_series(dfa)
+
+
 @pytest.mark.parametrize("m", [0, 1])
 @pytest.mark.parametrize("kind", ["red", "pref"])
 @pytest.mark.parametrize("spec", ["~A2", "U3"])
