@@ -19,7 +19,7 @@ import functools
 from operator import getitem
 
 from .core import GroupElement, LimitExceeded, _right_mul_gen
-from .roots import root_poset
+from .roots import _check_counts, root_poset
 
 # the automaton kinds: reduced words, and reduced words of reflection prefixes
 KINDS = ("red", "pref")
@@ -123,6 +123,7 @@ def build_automaton(system, m, kind="red", limit=None):
     """
     if kind not in KINDS:
         raise ValueError("kind must be %s" % " or ".join(map(repr, KINDS)))
+    _check_counts(m=m)
     poset = root_poset(system, msmall=m, limit=limit)
     rank = system.rank
     for s in range(rank):

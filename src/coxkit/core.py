@@ -17,9 +17,9 @@ lie in Z[theta]: plain ints when the field is Q, and AlgebraicNumbers
 with int coefficients otherwise.  The bilinear form is read off the
 same Cartan columns, B(x, a_s) = |a_s|^2 pairing(x, s) / 2, with the
 norms |a_s|^2 held as ints or Fractions wherever they are rational, so
-B(x, y) of two roots is one Z[theta] sum halved once.  The Gram matrix
-is kept to validate a custom form and to derive the Cartan
-coefficients; nothing multiplies it into a root.
+B(x, y) of two roots is one Z[theta] sum halved once.  A custom form is
+checked once, in `CoxeterSystem.__init__`; the Gram matrix is kept to
+derive the Cartan coefficients, and nothing multiplies it into a root.
 """
 
 from __future__ import annotations
@@ -187,30 +187,22 @@ def coxeter_matrix_from_descriptor(text):
     return preset(text)
 
 
+# the bond m of each rational cos^2(pi/m) below 1; a ratio >= 1 is an infinite bond
+_BOND_OF_RATIO = {0: 2, Fraction(1, 4): 3, Fraction(1, 2): 4, Fraction(3, 4): 6}
+
+
 def matrix_from_gram(gram):
-    """Bond orders of a rational form: cos^2(pi/m) = B_st^2 / (B_ss B_tt)."""
+    """Bond orders of a checked rational form: cos^2(pi/m) = B_st^2 / (B_ss B_tt)."""
     n = len(gram)
     m = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
     for i in range(n):
-        if gram[i][i] <= 0:
-            raise ValueError("diagonal Gram entries must be positive")
         for j in range(i + 1, n):
             b = gram[i][j]
-            if b > 0:
-                raise ValueError("off-diagonal Gram entries must be <= 0")
             ratio = b * b / (gram[i][i] * gram[j][j])
-            if ratio == 0:
-                continue
-            if ratio >= 1:
-                m[i][j] = m[j][i] = 0
-            elif ratio == Fraction(1, 4):
-                m[i][j] = m[j][i] = 3
-            elif ratio == Fraction(1, 2):
-                m[i][j] = m[j][i] = 4
-            elif ratio == Fraction(3, 4):
-                m[i][j] = m[j][i] = 6
-            else:
+            v = 0 if ratio >= 1 else _BOND_OF_RATIO.get(ratio)
+            if v is None:
                 raise ValueError("bond ratio %s has no integral order" % (ratio,))
+            m[i][j] = m[j][i] = v
     return CoxeterMatrix(m)
 
 
@@ -242,13 +234,12 @@ def format_word(word, rank):
     return sep.join(str(s + 1) for s in word)
 
 
-def _column_is_negative(rows, j):
-    # root columns have uniform sign; the first nonzero entry decides
-    for row in rows:
-        x = row[j]
+def _root_sign(coords):
+    """The sign that a root's coordinates share, read off the first nonzero one; 0 for 0."""
+    for x in coords:
         if x:
-            return sign(x) < 0
-    return False
+            return sign(x)
+    return 0
 
 
 def _right_mul_gen(system, rows, s):
@@ -411,8 +402,7 @@ class GroupElement:
         return _element(self.system, _left_mul_gen(self.system, self.inv_rows, s))
 
     def right_descents(self):
-        rows = self.rows
-        return tuple(s for s in range(self.system.rank) if _column_is_negative(rows, s))
+        return tuple(s for s, col in enumerate(zip(*self.rows)) if _root_sign(col) < 0)
 
     def act(self, coords):
         dot = self.system._dot
@@ -446,18 +436,22 @@ class CoxeterSystem:
             n = len(g)
             if any(len(row) != n for row in g):
                 raise ValueError("Gram matrix must be square")
-            if any(isinstance(x, AlgebraicNumber) for row in g for x in row):
-                field = next(x.field for row in g for x in row
-                             if isinstance(x, AlgebraicNumber))
+            field = next((x.field for row in g for x in row
+                          if isinstance(x, AlgebraicNumber)), None)
+            if field is None:
+                g = [[Fraction(x) for x in row] for row in g]
+            elif matrix is None:
+                raise ValueError("an algebraic Gram matrix needs an explicit Coxeter matrix")
+            else:
                 g = [[x if isinstance(x, AlgebraicNumber) else field.from_rational(x)
                       for x in row] for row in g]
-                if matrix is None:
-                    raise ValueError("an algebraic Gram matrix needs an explicit Coxeter matrix")
-                # matrix_from_gram checks this for a rational form
-                if any(x > 0 for i, row in enumerate(g) for j, x in enumerate(row) if i != j):
-                    raise ValueError("off-diagonal Gram entries must be <= 0")
-            else:
-                g = [[Fraction(x) for x in row] for row in g]
+            if not all(g[i][i] > 0 for i in range(n)):
+                raise ValueError("diagonal Gram entries must be positive")
+            if any(g[i][j] != g[j][i] for i in range(n) for j in range(i)):
+                raise ValueError("Gram matrix must be symmetric")
+            if any(g[i][j] > 0 for i in range(n) for j in range(i)):
+                raise ValueError("off-diagonal Gram entries must be <= 0")
+            if field is None:
                 field = CyclotomicField(1)
                 derived = matrix_from_gram(g)
                 if matrix is None:
@@ -465,20 +459,13 @@ class CoxeterSystem:
                 elif matrix != derived:
                     raise ValueError("Gram matrix disagrees with the Coxeter matrix")
             self.mode = "custom"
-        for i in range(n):
-            if not g[i][i] > 0:
-                raise ValueError("diagonal Gram entries must be positive")
-            for j in range(i + 1, n):
-                if g[i][j] != g[j][i]:
-                    raise ValueError("Gram matrix must be symmetric")
         if matrix.rank != n:
             raise ValueError("rank mismatch between matrix and form")
         self.matrix = matrix
         self.rank = n
         self.field = field
         self.gram = tuple(tuple(row) for row in g)
-        self.norms = tuple(self.gram[i][i] for i in range(n))
-        self._norm_q = tuple(_plain(x) for x in self.norms)  # rational where possible
+        self.norms = tuple(_plain(self.gram[i][i]) for i in range(n))  # rational where possible
         # coordinates are ints over Q, int-coefficient AlgebraicNumbers otherwise
         if isinstance(self.gram[0][0], AlgebraicNumber):
             self.one, self.zero, self._dot = field.one, field.zero, field.dot
@@ -490,7 +477,7 @@ class CoxeterSystem:
         self._neighbors = tuple(
             tuple((j, _plain(b + b if norm == 1 else b * (Fraction(2) / norm)))
                   for j, b in enumerate(self.gram[s]) if j != s and b != 0)
-            for s, norm in enumerate(self._norm_q)
+            for s, norm in enumerate(self.norms)
         )
         # the same coefficients by column: (t, pairing(a_s, t)) = (t, c_ts), t != s
         self._columns = tuple(
@@ -507,7 +494,7 @@ class CoxeterSystem:
         return "CoxeterSystem(rank=%d, mode=%s)" % (self.rank, self.mode)
 
     def simple_root(self, s):
-        return tuple(self.one if i == s else self.zero for i in range(self.rank))
+        return self._id_rows[s]
 
     def bilinear(self, x, y):
         """B(x, y) = sum_s y_s |a_s|^2 pairing(x, s) / 2, halved once.
@@ -519,7 +506,7 @@ class CoxeterSystem:
         for s, v in enumerate(y):
             if v:
                 p = self.pairing(x, s)
-                norm = self._norm_q[s]
+                norm = self.norms[s]
                 ys.append(v)
                 terms.append(p if norm == 1 else norm * p)
         return _half(self._dot(ys, terms))

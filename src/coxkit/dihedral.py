@@ -32,7 +32,7 @@ Non-reflections and two equal reflections raise `core.DomainError`.
 
 from fractions import Fraction
 
-from .core import DomainError, _plain
+from .core import DomainError, _plain, _root_sign
 from .field import exact
 from .prefixes import _reflection_root
 from .roots import reflection_from_root, root_depth
@@ -58,10 +58,10 @@ class DihedralSubgroup:
 
 
 def _positive(v):
-    for x in v:
-        if x != 0:
-            return v if x > 0 else tuple(-y for y in v)
-    raise ValueError("zero vector is not a root")
+    sgn = _root_sign(v)
+    if not sgn:
+        raise ValueError("zero vector is not a root")
+    return v if sgn > 0 else tuple(-y for y in v)
 
 
 def _reflect_in(system, v, root, norm):

@@ -24,7 +24,7 @@ Non-reflections, and the identity in the prefix test, raise `core.DomainError`.
 from .core import DomainError, LimitExceeded, _element, _left_mul_gen, _right_mul_gen, \
     format_word, is_reflection
 from .field import sign
-from .roots import _close_up, _descend, _lower_covers, _simple_index, root_poset
+from .roots import _check_counts, _close_up, _descend, _lower_covers, _simple_index, root_poset
 
 
 class ReflectionPrefix:
@@ -169,6 +169,7 @@ def reflections_up_to(system, max_length, limit=None):
     stripped to a normal form once (t is its own inverse), and the
     descent word, s then the cover's, is the normal form of its prefix.
     """
+    _check_counts(max_length=max_length)
     if max_length < 1:
         return []
     poset = root_poset(system, max_depth=(max_length - 1) // 2, limit=limit)

@@ -50,9 +50,9 @@ class RootPoset:
     never decrease along the columns, and the first `rank` roots are the
     simple ones.  Edges are (lower_index, upper_index, letter, long)
     tuples in discovery order, so the first edge into a non-simple root
-    is the one that created it.  `roots` (one Root per root) and the
-    cover lists `up` and `down` are views, built from the columns on
-    first access and kept.
+    is the one that created it.  `roots` (one Root per root), the
+    cover lists `up` and `down`, and the coordinate texts and labels
+    are views, built from the columns on first access and kept.
 
     When built with an m-small bound the poset holds exactly the m-small
     roots; every m-small root keeps all of its lower covers, since the
@@ -67,7 +67,6 @@ class RootPoset:
         self.norms = norms
         self.edges = edges
         self.index = index  # coords -> root index
-        self._labels = self._texts = None
 
     @functools.cached_property
     def roots(self):
@@ -95,45 +94,45 @@ class RootPoset:
     def __len__(self):
         return len(self.coords)
 
-    def label(self, i):
-        return self.labels()[i]
-
-    def labels(self):
-        """The label of every root, in index order; built once.
-
-        A label is the digits of the coordinates when each is an integer
-        0..9, else the tuple; str of an int, a Fraction or an
-        AlgebraicNumber is one digit exactly for those values.  A root
+    @functools.cached_property
+    def _texts(self):
+        """str of each coordinate of each root, in index order.  A root
         differs from the root below its creation edge only in the
         coordinate of the edge's letter, so each root formats that one
-        coordinate and takes the others' text from below.
-        """
-        if self._labels is None:
-            coords = self.coords
-            rank = self.system.rank
-            texts = [[str(x) for x in c] for c in coords[:rank]]
-            # the roots' creation edges come in index order
-            k = rank
-            for lo, hi, s, _ in self.edges:
-                if hi == k:
-                    text = texts[lo][:]
-                    text[s] = str(coords[hi][s])
-                    texts.append(text)
-                    k += 1
-            labels = []
-            for text in texts:
-                digits = "".join(text)
-                if len(digits) == rank and digits.isdigit():
-                    labels.append(digits)
-                else:
-                    labels.append("(" + ", ".join(text) + ")")
-            self._labels = labels
-            self._texts = texts
+        coordinate and takes the others' text from below."""
+        texts = [[str(x) for x in c] for c in self.coords[:self.system.rank]]
+        # the roots' creation edges come in index order
+        for lo, hi, s, _ in self.edges:
+            if hi == len(texts):
+                text = texts[lo][:]
+                text[s] = str(self.coords[hi][s])
+                texts.append(text)
+        return texts
+
+    @functools.cached_property
+    def _labels(self):
+        """The digits of the coordinates when each is an integer 0..9, else
+        the tuple; str of an int, a Fraction or an AlgebraicNumber is one
+        digit exactly for those values."""
+        rank = self.system.rank
+        labels = []
+        for text in self._texts:
+            digits = "".join(text)
+            if len(digits) == rank and digits.isdigit():
+                labels.append(digits)
+            else:
+                labels.append("(" + ", ".join(text) + ")")
+        return labels
+
+    def label(self, i):
+        return self._labels[i]
+
+    def labels(self):
+        """The label of every root, in index order; built once."""
         return self._labels
 
     def coord_texts(self):
-        """str of each coordinate of each root, as labels() builds them."""
-        self.labels()
+        """str of each coordinate of each root, in index order; built once."""
         return self._texts
 
     def to_dot(self):
@@ -151,6 +150,13 @@ class RootPoset:
             out.append('  r%d -> r%d [label="%d"%s];' % (lo, hi, s + 1, style))
         out.append("}")
         return "\n".join(out)
+
+
+def _check_counts(**counts):
+    """Raise ValueError for a count given as anything but a non-negative int."""
+    for name, value in counts.items():
+        if value is not None and (type(value) is not int or value < 0):
+            raise ValueError("%s must be a non-negative integer, got %r" % (name, value))
 
 
 def root_poset(system, max_depth=None, msmall=None, limit=None):
@@ -171,8 +177,9 @@ def root_poset(system, max_depth=None, msmall=None, limit=None):
     """
     if max_depth is None and msmall is None and limit is None:
         raise ValueError("need max_depth, msmall or limit")
+    _check_counts(max_depth=max_depth, msmall=msmall, limit=limit)
     n = system.rank
-    norms = system._norm_q
+    norms = system.norms
     columns = system._columns
     unit = [x == 1 for x in norms]
     coords = [system.simple_root(s) for s in range(n)]
@@ -240,6 +247,7 @@ def root_poset(system, max_depth=None, msmall=None, limit=None):
 
 def m_small_roots(system, m):
     """The poset of m-small roots (finite for every m)."""
+    _check_counts(m=m)
     return root_poset(system, msmall=m)
 
 
@@ -296,7 +304,7 @@ def _descend(system, coords):
 def _long_steps(system, steps, norm):
     """Which steps of a descent of a root of norm |b|^2 are long covers:
     B(g, a_s)^2 >= |g|^2 |a_s|^2, that is |a_s|^2 c^2 >= 4|b|^2."""
-    norms = system._norm_q
+    norms = system.norms
     return [c * c * norms[s] >= 4 * norm for s, c in steps]
 
 

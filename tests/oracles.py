@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from coxkit.affine import orbit_series
 from coxkit.automata import Dfa, reflection_table
-from coxkit.core import LimitExceeded, _column_is_negative, _right_mul_gen
+from coxkit.core import LimitExceeded, _right_mul_gen, _root_sign
 from coxkit.dihedral import _subgroup_roots
 from coxkit.prefixes import _reflection_root
 from coxkit.roots import Root, root_depth, root_poset, root_profile
@@ -269,7 +269,7 @@ def root_poset_slow(system, max_depth=None, msmall=None, limit=None):
     from coxkit.field import sign
 
     n = system.rank
-    norms = system._norm_q
+    norms = system.norms
     roots = [(system.simple_root(s), 0, 0, norms[s]) for s in range(n)]
     index = {r[0]: i for i, r in enumerate(roots)}
     edges = []
@@ -592,7 +592,7 @@ def shortlex_word_by_columns(system, inv_rows):
     word = []
     while inv_rows != system._id_rows:
         for s in range(system.rank):
-            if _column_is_negative(inv_rows, s):
+            if _root_sign([row[s] for row in inv_rows]) < 0:
                 break
         else:
             raise ArithmeticError("matrix has no left descent yet is not 1")
@@ -612,7 +612,7 @@ def cayley_bfs_by_rows(system, max_length):
         if len(word) >= max_length:
             break
         for s in range(system.rank):
-            if _column_is_negative(rows, s):
+            if _root_sign([row[s] for row in rows]) < 0:
                 continue
             nxt = _right_mul_gen(system, rows, s)
             if nxt not in seen:

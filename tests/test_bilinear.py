@@ -116,7 +116,7 @@ def test_rational_form_matches_gram(gram, data):
 ])
 def test_non_integral_rational_form(gram):
     system = ck.CoxeterSystem(gram=gram)
-    assert any(type(x) is Fraction for x in system._norm_q) or \
+    assert any(type(x) is Fraction for x in system.norms) or \
         any(type(c) is Fraction for col in system._neighbors for _, c in col)
     check_roots(system, 5)
 
@@ -129,7 +129,7 @@ def test_algebraic_gram():
     f = unit.field
     gram = [[f.theta * f.theta * x for x in row] for row in unit.gram]
     system = ck.CoxeterSystem(matrix=matrix, gram=gram)
-    assert not any(x.is_rational() for x in system._norm_q)
+    assert not any(x.is_rational() for x in system.norms)
     poset = check_roots(system, 20)
     unit_poset = ck.root_poset(unit, max_depth=20)
     assert [r.depth for r in poset.roots] == [r.depth for r in unit_poset.roots]

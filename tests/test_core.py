@@ -11,6 +11,7 @@ import coxkit as ck
 from coxkit import core
 from coxkit.affine import affine_datum
 from coxkit.core import _plain, _shortlex_word
+from coxkit.dihedral import _positive
 from coxkit.field import AlgebraicNumber, bond_lcm
 from coxkit.roots import _descend
 from oracles import cayley_bfs_by_rows, matrix_of_word, reduced_word_trie, \
@@ -67,11 +68,60 @@ def test_matrix_validation():
     (lambda: ck.CoxeterSystem(matrix=ck.preset("H3"), gram=[
         [x if i == j else -x for j, x in enumerate(row)]
         for i, row in enumerate(system("H3").gram)]), "off-diagonal Gram entries must be <= 0"),
+    pytest.param(lambda: ck.CoxeterSystem(matrix=ck.preset("H3"), gram=[
+        [-x if i == j == 1 else x for j, x in enumerate(row)]
+        for i, row in enumerate(system("H3").gram)]), "diagonal Gram entries must be positive",
+        id="algebraic form, negative diagonal entry"),
+    pytest.param(lambda: ck.CoxeterSystem(matrix=ck.preset("H3"), gram=[
+        [x + x if (i, j) == (0, 1) else x for j, x in enumerate(row)]
+        for i, row in enumerate(system("H3").gram)]), "Gram matrix must be symmetric",
+        id="algebraic form, asymmetric"),
+    # the symmetry check comes before the bond ratio of the upper triangle, 1/9
+    pytest.param(lambda: ck.CoxeterSystem(gram=[[1, Fraction(-1, 3)], [Fraction(-1, 2), 1]]),
+                 "Gram matrix must be symmetric", id="rational form, asymmetric"),
 ])
 def test_input_guards_say_what_is_wrong(call, message):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("call, name, value", [
+    (lambda s: ck.root_poset(s, max_depth=-1), "max_depth", "-1"),
+    (lambda s: ck.root_poset(s, max_depth=2.5), "max_depth", "2.5"),
+    (lambda s: ck.root_poset(s, limit=-5), "limit", "-5"),
+    (lambda s: ck.m_small_roots(s, -1), "m", "-1"),
+    (lambda s: ck.build_automaton(s, -1), "m", "-1"),
+    (lambda s: ck.build_automaton(s, 1.5), "m", "1.5"),
+    (lambda s: ck.build_automaton(s, 1, limit=-1), "limit", "-1"),
+    (lambda s: ck.reflections_up_to(s, -1), "max_length", "-1"),
+    (lambda s: ck.reflections_up_to(s, 5.0), "max_length", "5.0"),
+    (lambda s: ck.reflections_up_to(s, 5, limit=-3), "limit", "-3"),
+], ids=["root_poset max_depth=-1", "root_poset max_depth=2.5", "root_poset limit=-5",
+        "m_small_roots m=-1", "build_automaton m=-1", "build_automaton m=1.5",
+        "build_automaton limit=-1", "reflections_up_to max_length=-1",
+        "reflections_up_to max_length=5.0", "reflections_up_to limit=-3"])
+def test_a_count_must_be_a_non_negative_int(call, name, value):
+    """A negative or non-integral count is refused, not read as some other
+    bound: on ~A2, max_depth=-1 gave the simple roots and m=-1 an
+    automaton that counts non-reduced words."""
+    with pytest.raises(ValueError) as info:
+        call(system("~A2"))
+    assert str(info.value) == "%s must be a non-negative integer, got %s" % (name, value)
+
+
+def test_norms_are_rational_wherever_possible_and_a_root_has_one_sign():
+    h3 = system("H3")
+    assert h3.norms == (1, 1, 1) and all(type(x) is int for x in h3.norms)
+    b3 = affine_datum("~B3").finite
+    assert b3.norms == (1, 2, 2) and all(type(x) is int for x in b3.norms)
+    beta = ck.root_poset(h3, max_depth=5).coords[-1]
+    assert any(isinstance(x, AlgebraicNumber) and not x.is_rational() for x in beta)
+    assert core._root_sign(beta) == 1
+    assert core._root_sign(tuple(-x for x in beta)) == -1
+    assert core._root_sign((h3.zero,) * 3) == 0
+    with pytest.raises(ValueError, match="^zero vector is not a root$"):
+        _positive((h3.zero,) * 3)
 
 
 def test_descriptor_accepts_name_and_rows():
@@ -555,7 +605,7 @@ def test_custom_form_cartan_coefficients_match_the_old_formula(name):
     assert sysm.mode == "custom"
     n = sysm.rank
     old = tuple(
-        tuple((j, _plain(sysm.gram[s][j] * (Fraction(2) / sysm._norm_q[s])))
+        tuple((j, _plain(sysm.gram[s][j] * (Fraction(2) / sysm.norms[s])))
               for j in range(n) if j != s and sysm.gram[s][j] != 0)
         for s in range(n))
     assert [[(j, _typed(c)) for j, c in row] for row in sysm._neighbors] == \
